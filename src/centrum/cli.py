@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 invalid input or parameters,
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, jsonutil
@@ -33,7 +32,7 @@ from .harness import (
     sweep_pair,
 )
 from .metric import instance_to_dict, load_instance, save_instance
-from .objectives import cost_profile, ratio_graph
+from .objectives import ratio_graph
 from .selection import (
     select_exhaustive,
     select_largest_objective,
@@ -53,21 +52,6 @@ def _parse_objectives(text: str) -> tuple:
     if not ks:
         raise argparse.ArgumentTypeError("objectives list is empty")
     return tuple(ks)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CENTRUM_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CentrumError("CENTRUM_THREADS must be an integer, got %r" % env) from None
-        if value < 1:
-            raise CentrumError("CENTRUM_THREADS must be >= 1, got %d" % value)
-        return value
-    return 1
 
 
 def _emit(payload, out_path=None) -> None:
@@ -92,7 +76,7 @@ def _cmd_solve(args) -> int:
         result = select_exhaustive(instance, ks)
     payload = result.to_jsonable(instance)
     if args.profile:
-        payload["profile"] = cost_profile(instance, ks).to_jsonable(instance)
+        payload["profile"] = result.profile.to_jsonable(instance)
     _emit(payload, args.out)
     return 0
 
@@ -152,7 +136,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = _threads(args)
     if args.suite == "lemmas":
         if not args.instance:
             raise CentrumError("suite lemmas needs an instance file")
@@ -168,13 +151,10 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
             shared=args.suite == "shared",
             tol=args.tol,
-            threads=threads,
         )
         report = sweep_pair(config)
     else:
-        config = MultiSweepConfig(
-            instances=args.instances, seed=args.seed, tol=args.tol, threads=threads
-        )
+        config = MultiSweepConfig(instances=args.instances, seed=args.seed, tol=args.tol)
         report = sweep_multi(config)
     if args.out:
         report.save(args.out)
@@ -207,12 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version="centrum %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def tol(p):
         p.add_argument("--tol", type=float, default=1e-9,
                        help="relative tolerance for metric and inequality checks")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0, help="seed for random generation")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: CENTRUM_THREADS or 1)")
 
     p = sub.add_parser("solve", help="pick one facility for several objectives")
     p.add_argument("instance", help="instance file (.json or .csv)")
@@ -222,14 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="include per-facility costs in the output")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    common(p)
+    tol(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bounds", help="print guarantee values")
     p.add_argument("--pair", type=float, help="pair bound at x = p/k")
     p.add_argument("--shared", type=float, help="shared-location pair bound at x")
     p.add_argument("--beta", type=int, help="multi bound for q objectives")
-    common(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("gen", help="generate an instance file")
@@ -244,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared", action="store_true",
                    help="euclidean: facilities on the client points")
     p.add_argument("-o", "--out", help="output path (default: stdout)")
-    common(p)
+    seed(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="run inequality checks or a sweep")
@@ -255,14 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=50,
                    help="random instances for the sweep suites")
     p.add_argument("--out", help="write the JSON report here")
-    common(p)
+    tol(p)
+    seed(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="dump the ratio graph of an instance")
     p.add_argument("instance", help="instance file (.json or .csv)")
     p.add_argument("--objectives", type=_parse_objectives, required=True)
     p.add_argument("--out", help="write JSON here instead of stdout")
-    common(p)
+    tol(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("curves", help="write guarantee curves as CSV")
@@ -270,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xstep", type=float, default=0.05)
     p.add_argument("--qmax", type=int, default=20)
     p.add_argument("--out-dir", default=".")
-    common(p)
     p.set_defaults(func=_cmd_curves)
 
     return parser

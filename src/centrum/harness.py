@@ -9,7 +9,6 @@ serialize deterministically so runs can be diffed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -28,7 +27,7 @@ from .generators import (
 )
 from .jsonutil import dump_path
 from .metric import validate_metric
-from .objectives import ObjectiveSet, cost_profile
+from .objectives import cost_profile, graph_from_profile
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
 _VIOLATION_CAP = 25  # per check, to keep reports readable
@@ -186,19 +185,13 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     the triangle inequality run only when the instance carries verified
     cross distances. Returns a report with one record per check.
     """
-    objs = objectives if isinstance(objectives, ObjectiveSet) else ObjectiveSet(tuple(objectives))
-    objs.check_against(instance)
+    profile = cost_profile(instance, objectives)
     report = VerificationReport()
-    profile = cost_profile(instance, objs)
     ks = profile.ks
     costs = profile.costs  # (m, q)
     opt = profile.optimal_costs
     metric = instance.metric_verified
-    degenerate = bool(np.any(opt == 0.0))
-    if degenerate:
-        weights = np.ones((len(ks), len(ks)))
-    else:
-        weights = np.vstack([costs[profile.optima[i][0], :] / opt for i in range(len(ks))])
+    weights = graph_from_profile(profile).weights
     flabels = instance.facility_labels
 
     def vector_check(name, lhs, rhs, detail):
@@ -304,15 +297,12 @@ class PairSweepConfig:
     shared: bool = False
     include_checks: bool = True
     tol: float = 1e-9
-    threads: int = 1
 
     def validate(self) -> None:
         if not isinstance(self.instances, int) or self.instances < 0:
             raise BadConfig("instances must be a non-negative integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise BadConfig("seed must be a non-negative integer")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise BadConfig("threads must be a positive integer")
         if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
             raise BadConfig("tol must be a positive finite float")
         if self.max_clients < 4 or self.max_facilities < 2:
@@ -343,7 +333,6 @@ class PairSweepConfig:
             "shared": self.shared,
             "include_checks": self.include_checks,
             "tol": self.tol,
-            "threads": self.threads,
         }
 
 
@@ -429,29 +418,19 @@ def _tight_pair_job(config: PairSweepConfig, x: float) -> VerificationReport:
     return report
 
 
-def _run_jobs(jobs, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda fn: fn(), jobs))
-    return [fn() for fn in jobs]
-
-
 def sweep_pair(config: PairSweepConfig | None = None) -> VerificationReport:
     """Randomized + worst-case sweep of the two-objective rule.
 
-    Deterministic for a fixed config; thread count changes nothing but
-    wall time because partial reports merge in job order.
+    Deterministic for a fixed config: each job draws from its own seeded
+    stream and the partial reports merge in job order.
     """
     config = config or PairSweepConfig()
     config.validate()
-    jobs = [
-        (lambda i=i: _pair_job(config, i)) for i in range(config.instances)
-    ] + [
-        (lambda x=x: _tight_pair_job(config, float(x))) for x in config.tight_xs
-    ]
     report = VerificationReport(config=config.to_jsonable())
-    for partial in _run_jobs(jobs, config.threads):
-        report.merge(partial)
+    for i in range(config.instances):
+        report.merge(_pair_job(config, i))
+    for x in config.tight_xs:
+        report.merge(_tight_pair_job(config, float(x)))
     return report
 
 
@@ -468,15 +447,12 @@ class MultiSweepConfig:
     tight_sizes: tuple = ((60, 3600),)
     include_checks: bool = True
     tol: float = 1e-9
-    threads: int = 1
 
     def validate(self) -> None:
         if not isinstance(self.instances, int) or self.instances < 0:
             raise BadConfig("instances must be a non-negative integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise BadConfig("seed must be a non-negative integer")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise BadConfig("threads must be a positive integer")
         if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
             raise BadConfig("tol must be a positive finite float")
         if not self.qs or any(not isinstance(q, int) or q < 2 for q in self.qs):
@@ -505,7 +481,6 @@ class MultiSweepConfig:
             "tight_sizes": [list(s) for s in self.tight_sizes],
             "include_checks": self.include_checks,
             "tol": self.tol,
-            "threads": self.threads,
         }
 
 
@@ -550,14 +525,11 @@ def sweep_multi(config: MultiSweepConfig | None = None) -> VerificationReport:
     """Randomized + worst-case sweep of the many-objective rule."""
     config = config or MultiSweepConfig()
     config.validate()
-    jobs = [
-        (lambda i=i: _multi_job(config, i)) for i in range(config.instances)
-    ] + [
-        (lambda k=k, n=n: _tight_multi_job(config, k, n)) for k, n in config.tight_sizes
-    ]
     report = VerificationReport(config=config.to_jsonable())
-    for partial in _run_jobs(jobs, config.threads):
-        report.merge(partial)
+    for i in range(config.instances):
+        report.merge(_multi_job(config, i))
+    for k, n in config.tight_sizes:
+        report.merge(_tight_multi_job(config, k, n))
     return report
 
 

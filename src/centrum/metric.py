@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -334,11 +334,6 @@ def build_from_graph(
                               for j, f in enumerate(facility_ids)),
         provenance=dict(provenance or {}),
     )
-
-
-def _connected(adj: np.ndarray) -> bool:
-    ncomp, _ = connected_components(csr_matrix(adj), directed=False)
-    return ncomp == 1
 
 
 def instance_to_dict(instance: MetricInstance) -> dict:

@@ -2,13 +2,15 @@
 
 The cost of facility A under objective k is the sum of the k largest
 client distances to A. Every cost in this module is computed by the
-same routine (select the k largest, sort them descending, running
-sum), so two costs of the same column are bitwise comparable and an
-approximation ratio can never dip below 1 through float noise.
+same routine (sort the column descending, running sum), so two costs
+of the same column are bitwise comparable and an approximation ratio
+can never dip below 1 through float noise. Every ratio comes from
+CostProfile.ratios, the one place a zero optimum is handled.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,31 +66,28 @@ def _check_k(instance, k) -> int:
     return int(k)
 
 
-def _topk_running_sum(column: np.ndarray, k: int) -> float:
-    """Sum of the k largest entries, added largest first."""
-    n = column.shape[0]
-    top = column if k == n else np.partition(column, n - k)[n - k:]
-    ordered = np.sort(top)[::-1]
-    return float(np.cumsum(ordered)[-1])
+def _check_facility(instance, facility) -> int:
+    m = instance.m_facilities
+    if not isinstance(facility, (int, np.integer)) or not -m <= facility < m:
+        raise BadParams("facility index %r outside 0..%d" % (facility, m - 1))
+    return int(facility)
 
 
-def costs_for_k(instance, k: int) -> np.ndarray:
-    """Objective-k cost of every facility, shape (m,)."""
-    k = _check_k(instance, k)
-    dist = instance.dist
-    n = dist.shape[0]
-    top = dist if k == n else np.partition(dist, n - k, axis=0)[n - k:, :]
-    ordered = np.sort(top, axis=0)[::-1, :]
-    return np.cumsum(ordered, axis=0)[-1, :]
+def _topk_costs(dist: np.ndarray, ks) -> np.ndarray:
+    """Sum of the k largest entries of every column for each k, shape (m, q).
+
+    The only top-k routine: one descending sort of the columns serves
+    all ranks, and row k-1 of the running column sums is the rank-k cost.
+    """
+    running = np.cumsum(np.sort(dist, axis=0)[::-1, :], axis=0)
+    return running[np.array(ks) - 1, :].T
 
 
 def centrum_cost(instance, facility: int, k: int) -> float:
     """Sum of the k largest client distances to one facility."""
     k = _check_k(instance, k)
-    m = instance.m_facilities
-    if not isinstance(facility, (int, np.integer)) or not -m <= facility < m:
-        raise BadParams("facility index %r outside 0..%d" % (facility, m - 1))
-    return _topk_running_sum(instance.dist[:, facility], k)
+    facility = _check_facility(instance, facility)
+    return float(_topk_costs(instance.dist[:, [facility]], (k,))[0, 0])
 
 
 def optimal_facility(instance, k: int) -> tuple:
@@ -96,33 +95,19 @@ def optimal_facility(instance, k: int) -> tuple:
 
     Ties go to the lowest facility index.
     """
-    costs = costs_for_k(instance, k)
-    best = int(np.argmin(costs))
-    return best, float(costs[best])
+    return cost_profile(instance, (_check_k(instance, k),)).optima[0]
 
 
 def approx_ratio(instance, facility: int, k: int) -> float:
     """Cost of the given facility divided by the optimal cost for k.
 
-    If the optimal cost is zero (all clients on one facility), warns
-    DegenerateOptimum and returns 1.0 when the facility also has zero
-    cost, inf otherwise.
+    A zero optimal cost follows CostProfile.ratios: 1.0 when the
+    facility also has zero cost, inf otherwise, with a DegenerateOptimum
+    warning.
     """
-    costs = costs_for_k(instance, k)
-    m = instance.m_facilities
-    if not isinstance(facility, (int, np.integer)) or not -m <= facility < m:
-        raise BadParams("facility index %r outside 0..%d" % (facility, m - 1))
-    opt = float(np.min(costs))
-    mine = float(costs[int(facility)])
-    if opt == 0.0:
-        warnings.warn(
-            "optimal cost for k=%d is zero; ratio is %s"
-            % (k, "1" if mine == 0.0 else "inf"),
-            DegenerateOptimum,
-            stacklevel=2,
-        )
-        return 1.0 if mine == 0.0 else float("inf")
-    return mine / opt
+    k = _check_k(instance, k)
+    facility = _check_facility(instance, facility)
+    return float(cost_profile(instance, (k,)).ratios()[facility, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +125,34 @@ class CostProfile:
     @property
     def optimal_facilities(self) -> tuple:
         return tuple(i for i, _ in self.optima)
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(np.any(self.optimal_costs == 0.0))
+
+    def ratios(self) -> np.ndarray:
+        """Ratio of every facility under every objective, shape (m, q).
+
+        A zero optimum means every client sits on that facility, which
+        then costs 0 under every objective. Ratios are then 1 where the
+        cost is 0 and inf elsewhere, with one DegenerateOptimum warning
+        per profile. The matrix is computed once and read-only.
+        """
+        return self._ratios
+
+    @cached_property
+    def _ratios(self) -> np.ndarray:
+        if self.degenerate:
+            warnings.warn(
+                "an optimal cost is zero; ratios are 1 where the cost is zero, inf elsewhere",
+                DegenerateOptimum,
+                stacklevel=4,
+            )
+            ratios = np.where(self.costs == 0.0, 1.0, np.inf)
+        else:
+            ratios = self.costs / self.optimal_costs
+        ratios.flags.writeable = False
+        return ratios
 
     def to_jsonable(self, instance=None) -> dict:
         labels = None if instance is None else instance.facility_labels
@@ -159,17 +172,10 @@ class CostProfile:
 
 
 def cost_profile(instance, objectives) -> CostProfile:
-    """Costs for every facility under each objective, plus the optima.
-
-    One descending sort of the distance matrix serves all objectives;
-    row k-1 of the running column sums is the objective-k cost.
-    """
+    """Costs for every facility under each objective, plus the optima."""
     objs = _as_objectives(objectives)
     objs.check_against(instance)
-    ordered = np.sort(instance.dist, axis=0)[::-1, :]
-    running = np.cumsum(ordered, axis=0)
-    rows = np.array(objs.ks) - 1
-    costs = running[rows, :].T  # (m, q)
+    costs = _topk_costs(instance.dist, objs.ks)
     optima = []
     for col in range(costs.shape[1]):
         best = int(np.argmin(costs[:, col]))
@@ -225,25 +231,9 @@ def ratio_graph(instance, objectives) -> RatioGraph:
 
 
 def graph_from_profile(profile: CostProfile) -> RatioGraph:
-    q = len(profile.ks)
-    opt = profile.optimal_costs
-    weights = np.ones((q, q))
-    degenerate = bool(np.any(opt == 0.0))
-    if degenerate:
-        # a zero optimum means every client sits on that facility, which
-        # is then optimal for every objective; all ratios collapse to 1
-        warnings.warn(
-            "an optimal cost is zero; ratio graph weights are all 1",
-            DegenerateOptimum,
-            stacklevel=2,
-        )
-    else:
-        for i in range(q):
-            fac = profile.optima[i][0]
-            weights[i, :] = profile.costs[fac, :] / opt
     return RatioGraph(
         ks=profile.ks,
         facilities=profile.optimal_facilities,
-        weights=weights,
-        degenerate=degenerate,
+        weights=profile.ratios()[list(profile.optimal_facilities)],
+        degenerate=profile.degenerate,
     )

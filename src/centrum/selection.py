@@ -3,17 +3,17 @@
 Every rule returns a SelectionResult holding the chosen facility, its
 ratio under each requested objective, the worst of those ratios, and
 the a-priori guarantee of the rule (None for the exhaustive oracle,
-which has no closed-form guarantee).
+which has no closed-form guarantee). All ratios come from the
+CostProfile the rule worked on, which the result carries.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundValue, multi_guarantee, pair_guarantee
-from .errors import BadObjectivePair, DegenerateOptimum
-from .objectives import ObjectiveSet, cost_profile, graph_from_profile
+from .errors import BadObjectivePair
+from .objectives import CostProfile, ObjectiveSet, cost_profile, graph_from_profile
 
 METHOD_PAIR = "pair_best_of_two"
 METHOD_LARGEST = "largest_objective"
@@ -29,6 +29,7 @@ class SelectionResult:
     worst_ratio: float
     guarantee: BoundValue | None
     method: str
+    profile: CostProfile  # the costs the choice was made from; not serialized
 
     def to_jsonable(self, instance=None) -> dict:
         return {
@@ -42,30 +43,8 @@ class SelectionResult:
         }
 
 
-def _ratio_rows(profile):
-    """Ratio of every facility under every objective, degenerate-safe.
-
-    A zero optimal cost means all clients sit on one facility; rows for
-    facilities with zero cost get ratio 1 there, everything else inf.
-    """
-    opt = profile.optimal_costs
-    costs = profile.costs
-    if np.any(opt == 0.0):
-        warnings.warn(
-            "optimal cost is zero for some objective; ratios are 1 or inf",
-            DegenerateOptimum,
-            stacklevel=3,
-        )
-        ratios = np.where(costs == 0.0, 1.0, np.inf)
-        nonzero = opt != 0.0
-        if np.any(nonzero):
-            ratios[:, nonzero] = costs[:, nonzero] / opt[nonzero]
-        return ratios
-    return costs / opt
-
-
 def _result(profile, facility: int, guarantee, method: str) -> SelectionResult:
-    ratios = _ratio_rows(profile)[facility]
+    ratios = profile.ratios()[facility]
     return SelectionResult(
         facility=int(facility),
         objectives=profile.ks,
@@ -73,6 +52,7 @@ def _result(profile, facility: int, guarantee, method: str) -> SelectionResult:
         worst_ratio=float(np.max(ratios)),
         guarantee=guarantee,
         method=method,
+        profile=profile,
     )
 
 
@@ -96,7 +76,7 @@ def select_pair(instance, k: int, p: int) -> SelectionResult:
     """
     k, p = _check_pair(instance, k, p)
     profile = cost_profile(instance, ObjectiveSet((k, p)))
-    ratios = _ratio_rows(profile)
+    ratios = profile.ratios()
     cand_k, cand_p = profile.optimal_facilities
     worst_k = float(np.max(ratios[cand_k]))
     worst_p = float(np.max(ratios[cand_p]))
@@ -137,7 +117,6 @@ def select_exhaustive(instance, objectives) -> SelectionResult:
     guarantee.
     """
     profile = cost_profile(instance, objectives)
-    ratios = _ratio_rows(profile)
-    worst = np.max(ratios, axis=1)
+    worst = np.max(profile.ratios(), axis=1)
     facility = int(np.argmin(worst))
     return _result(profile, facility, None, METHOD_EXHAUSTIVE)

@@ -94,7 +94,6 @@ def test_criterion_3_pair_rule_sweep():
         max_clients=200,
         max_facilities=50,
         kinds=("euclidean", "graph"),
-        threads=4,
     )
     report = sweep_pair(config)
     elapsed = time.perf_counter() - start
@@ -119,7 +118,6 @@ def test_criterion_4_multi_rule_sweep():
         max_facilities=50,
         qs=(3, 4, 5),
         tight_sizes=(),
-        threads=4,
     )
     report = sweep_multi(config)
     elapsed = time.perf_counter() - start
@@ -236,7 +234,6 @@ def test_criterion_7_shared_location_sweep():
         max_clients=120,
         max_facilities=12,
         shared=True,
-        threads=4,
     )
     report = sweep_pair(config)
     elapsed = time.perf_counter() - start

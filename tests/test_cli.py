@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 
 import pytest
 
 from centrum import VerificationReport, gen_tight_triple, save_instance
 from centrum.cli import run
+from centrum.objectives import cost_profile
 
 BETA3 = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -58,6 +60,9 @@ class TestBounds:
         assert run(["bounds"]) == 2
         assert "nothing to compute" in capsys.readouterr().err
 
+    def test_seed_is_usage_error(self, capsys):
+        assert run(["bounds", "--beta", "3", "--seed", "1"]) == 1
+
 
 class TestSolve:
     def test_graph_method_within_guarantee(self, triple_file, capsys):
@@ -97,6 +102,22 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert "profile" in doc
         assert len(doc["profile"]["costs"]) == 3
+
+    @pytest.mark.parametrize("method", ["pair", "largest", "graph", "exhaustive"])
+    def test_profile_computed_once(self, triple_file, capsys, monkeypatch, method):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cost_profile(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "centrum" and getattr(module, "cost_profile", None) is cost_profile:
+                monkeypatch.setattr(module, "cost_profile", counting)
+        args = ["solve", triple_file, "--objectives", "5,30", "--method", method, "--profile"]
+        assert run(args) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["profile"]["objectives"] == [5, 30]
 
     def test_missing_file(self, capsys):
         assert run(["solve", "/no/such/file.json", "--objectives", "1"]) == 2
@@ -226,27 +247,8 @@ class TestCurves:
     def test_bad_grid_is_input_error(self, tmp_path):
         assert run(["curves", "--xstep", "-1", "--out-dir", str(tmp_path)]) == 2
 
-
-class TestThreadsEnvironment:
-    def test_env_threads_used(self, monkeypatch, capsys):
-        monkeypatch.setenv("CENTRUM_THREADS", "2")
-        assert run(["verify", "--suite", "pair", "--instances", "4", "--seed", "9"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["threads"] == 2
-
-    def test_flag_overrides_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("CENTRUM_THREADS", "8")
-        code = run(
-            ["verify", "--suite", "pair", "--instances", "4", "--seed", "9",
-             "--threads", "1"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["threads"] == 1
-
-    def test_invalid_env_value(self, monkeypatch, capsys):
-        monkeypatch.setenv("CENTRUM_THREADS", "zero")
-        assert run(["verify", "--suite", "pair", "--instances", "2"]) == 2
+    def test_tol_is_usage_error(self, tmp_path):
+        assert run(["curves", "--tol", "1e-9", "--out-dir", str(tmp_path)]) == 1
 
 
 class TestCsvInput:

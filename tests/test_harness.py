@@ -113,14 +113,6 @@ class TestSweepPair:
         b = sweep_pair(config).to_jsonable()
         assert a == b
 
-    def test_threading_does_not_change_results(self):
-        base = dict(instances=8, seed=7, max_clients=16, max_facilities=4)
-        serial = sweep_pair(PairSweepConfig(**base, threads=1)).to_jsonable()
-        parallel = sweep_pair(PairSweepConfig(**base, threads=4)).to_jsonable()
-        serial.pop("config")
-        parallel.pop("config")
-        assert serial == parallel
-
     def test_no_violations_and_tight_buckets(self):
         config = PairSweepConfig(instances=10, seed=1, max_clients=24, max_facilities=6)
         report = sweep_pair(config)
@@ -160,7 +152,6 @@ class TestSweepPair:
             dict(max_clients=1),
             dict(tight_xs=(math.pi,)),
             dict(kinds=("bogus",)),
-            dict(threads=0),
         ],
     )
     def test_config_validation(self, kw):

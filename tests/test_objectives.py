@@ -12,10 +12,15 @@ from centrum import (
     approx_ratio,
     build_from_matrix,
     centrum_cost,
+    check_inequalities,
     cost_profile,
     gen_tight_triple,
     optimal_facility,
     ratio_graph,
+    select_exhaustive,
+    select_largest_objective,
+    select_multi_graph,
+    select_pair,
 )
 from centrum.errors import (
     BadParams,
@@ -36,6 +41,35 @@ BETA3 = (3.0 + SQRT5) / 2.0
 
 def brute_cost(column, k):
     return sum(sorted(column, reverse=True)[:k])
+
+
+def partition_topk_sum(column, k):
+    """The former single-column routine: partition out the k largest,
+    sort them descending, running sum."""
+    n = column.shape[0]
+    top = column if k == n else np.partition(column, n - k)[n - k:]
+    return float(np.cumsum(np.sort(top)[::-1])[-1])
+
+
+def partition_costs(dist, k):
+    """The former all-facility routine, same steps column by column."""
+    n = dist.shape[0]
+    top = dist if k == n else np.partition(dist, n - k, axis=0)[n - k:, :]
+    return np.cumsum(np.sort(top, axis=0)[::-1, :], axis=0)[-1, :]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def tied_matrices(draw):
+    """Matrices whose entries repeat and whose sums depend on the order."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    entry = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 7.0])
+    row = st.lists(entry, min_size=m, max_size=m)
+    return np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
 
 
 class TestObjectiveSet:
@@ -183,6 +217,89 @@ class TestCostProfile:
         lhs = (k / (p - k)) * (profile.costs[:, 1] - profile.costs[:, 0])
         rhs = profile.costs[:, 0]
         assert np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, rhs))
+
+
+class TestOneKernel:
+    """Every cost view is bitwise equal to the partition-based routines
+    the sort-and-running-sum kernel replaced."""
+
+    @given(st.one_of(dist_matrices(max_clients=12), tied_matrices()), st.data())
+    def test_views_match_partition_routines(self, dist, data):
+        inst = build_from_matrix(dist)
+        n, m = inst.dist.shape
+        ks = data.draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True).map(sorted),
+            label="ks",
+        )
+        profile = cost_profile(inst, ks)
+        for col, k in enumerate(ks):
+            old = partition_costs(inst.dist, k)
+            assert bits(profile.costs[:, col]) == bits(old)
+            best, cost = optimal_facility(inst, k)
+            assert best == int(np.argmin(old))
+            assert bits(cost) == bits(old[best])
+            for a in range(m):
+                assert bits(centrum_cost(inst, a, k)) == bits(partition_topk_sum(inst.dist[:, a], k))
+
+
+def _degenerate_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, sum(issubclass(w.category, DegenerateOptimum) for w in caught)
+
+
+class TestDegenerateOptimum:
+    """A zero optimum reads the same through every entry point."""
+
+    INST = build_from_matrix([[0.0, 5.0], [0.0, 6.0]])
+    KS = (1, 2)
+    RATIOS = {0: (1.0, 1.0), 1: (math.inf, math.inf)}
+
+    def test_profile_warns_once(self):
+        profile = cost_profile(self.INST, self.KS)
+        ratios, count = _degenerate_warnings(lambda: (profile.ratios(), profile.ratios()))
+        assert count == 1
+        assert ratios[0] is ratios[1]
+        assert np.array_equal(ratios[0], np.array([self.RATIOS[0], self.RATIOS[1]]))
+
+    def test_approx_ratio(self):
+        for facility, row in self.RATIOS.items():
+            for col, k in enumerate(self.KS):
+                ratio, count = _degenerate_warnings(lambda: approx_ratio(self.INST, facility, k))
+                assert count == 1
+                assert ratio == row[col]
+
+    def test_ratio_graph(self):
+        graph, count = _degenerate_warnings(lambda: ratio_graph(self.INST, self.KS))
+        assert count == 1
+        assert graph.degenerate
+        assert graph.facilities == (0, 0)
+        assert np.array_equal(graph.weights, np.array([self.RATIOS[0], self.RATIOS[0]]))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda inst, ks: select_pair(inst, *ks),
+            select_largest_objective,
+            select_multi_graph,
+            select_exhaustive,
+        ],
+        ids=["pair", "largest", "graph", "exhaustive"],
+    )
+    def test_selection_rules(self, rule):
+        result, count = _degenerate_warnings(lambda: rule(self.INST, self.KS))
+        assert count == 1
+        assert result.facility == 0
+        assert result.ratios == self.RATIOS[0]
+        assert result.worst_ratio == 1.0
+
+    def test_check_inequalities(self):
+        report, count = _degenerate_warnings(lambda: check_inequalities(self.INST, self.KS))
+        assert count == 1
+        assert report.violations_total == 0
+        # both weights are 1, so the ratio product sits below p/k = 2 by half
+        assert report.checks["ratio_product_bound"].max_slack == -0.5
 
 
 class TestRatioGraph:
