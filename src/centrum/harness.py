@@ -26,7 +26,6 @@ from .generators import (
     gen_tight_triple,
 )
 from .jsonutil import dump_path
-from .metric import validate_metric
 from .objectives import cost_profile, graph_from_profile
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
@@ -50,6 +49,24 @@ class CheckRecord:
             self.violation_count += 1
             if detail is not None and len(self.violations) < _VIOLATION_CAP:
                 self.violations.append(dict(detail, slack=slack))
+
+    def add_many(self, slacks, details_fn, tol: float = 0.0) -> None:
+        """add(slacks[i], details_fn(i), tol) for each i in order.
+
+        details_fn is called only for the violations kept as examples.
+        """
+        slacks = np.asarray(slacks, dtype=float)
+        self.comparisons += slacks.size
+        seen = slacks[~np.isnan(slacks)]
+        if seen.size:
+            # argmax takes the first maximum, as add's strict > does
+            top = float(seen[np.argmax(seen)])
+            if top > self.max_slack:
+                self.max_slack = top
+        bad = np.flatnonzero(slacks > tol)
+        self.violation_count += bad.size
+        for i in bad[: _VIOLATION_CAP - len(self.violations)]:
+            self.violations.append(dict(details_fn(int(i)), slack=float(slacks[i])))
 
     def merge(self, other: "CheckRecord") -> None:
         self.instances += other.instances
@@ -200,14 +217,13 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         slack = (lhs - rhs) / scale
         order = np.argsort(slack)[::-1]
-        for j in order:
-            rec.add(float(slack[j]), dict(detail, facility=flabels[j]), tol)
+        rec.add_many(slack[order], lambda i: dict(detail, facility=flabels[order[i]]), tol)
 
     if metric:
         rec = report.check("metric_axioms")
         rec.instances = 1
-        for v in validate_metric(instance, tol=tol):
-            rec.add(v.slack, v.to_jsonable(), tol)
+        violations = instance.violations(tol)
+        rec.add_many([v.slack for v in violations], lambda i: violations[i].to_jsonable(), tol)
         if rec.comparisons == 0:
             rec.add(0.0)
 

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+_FLOAT_TYPES = {float, np.float64}
+_WRITE_SLICE = 1 << 16  # characters per write in dump_path
+
 
 def format_float(value: float) -> str:
     if math.isnan(value):
@@ -22,6 +25,20 @@ def format_float(value: float) -> str:
         # keep 2.0 as 2.0, not 2
         return "%.1f" % value
     return format(value, ".17g")
+
+
+def _float_row(seq: list, values: np.ndarray) -> str:
+    """A row of finite floats as "[a, b, ...]", by one %-format string.
+
+    seq holds the floats and values the same floats as an array. Each
+    entry gets "%.1f" where format_float keeps an integral value below
+    1e16 and "%.17g" elsewhere ("%.17g" % v is format(v, ".17g")), so
+    the row matches format_float entry by entry.
+    """
+    specs = ["%.17g"] * len(seq)
+    for i in np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16)):
+        specs[i] = "%.1f"
+    return ("[" + ", ".join(specs) + "]") % tuple(seq)
 
 
 def _emit(obj, indent: int, level: int, pieces: list) -> None:
@@ -49,12 +66,20 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             _emit(val, indent, level + 1, pieces)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+        # row by row from the array: the matrix never exists as Python floats
+        _emit(list(obj), indent, level, pieces)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             pieces.append("[]")
             return
         # short numeric rows stay on one line so matrices read naturally
+        if set(map(type, seq)) <= _FLOAT_TYPES:
+            values = np.asarray(obj, dtype=float)
+            if np.isfinite(values).all():
+                pieces.append(_float_row(seq, values))
+                return
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
             parts = []
             for v in seq:
@@ -81,5 +106,8 @@ def dumps(obj, indent: int = 2) -> str:
 
 def dump_path(obj, path, indent: int = 2) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=indent))
+        text = dumps(obj, indent=indent)
+        # in slices, so encoding never holds a second copy of a large text
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
         fh.write("\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -33,13 +33,14 @@ from .errors import (
 )
 
 _NORM_NAMES = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}
+_RECHECK_CELLS = 1 << 18  # (pair, middle point) cells per recheck block
 
 
 @dataclass(frozen=True)
 class Violation:
     """One failed metric check, with the labels of the points involved."""
 
-    kind: str  # "asymmetry" | "nonzero_diagonal" | "triangle"
+    kind: str  # always "triangle": the constructor rejects the other axioms
     points: tuple
     slack: float
 
@@ -82,6 +83,8 @@ class MetricInstance:
     client_labels: tuple = ()
     facility_labels: tuple = ()
     provenance: dict = field(default_factory=dict)
+    # validate_metric's result per tol, so each instance is checked once
+    _violations: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         dist = _as_float_matrix(self.dist, "dist")
@@ -134,6 +137,12 @@ class MetricInstance:
         """True when cross distances are present, so triangle checks can run."""
         return self.cross is not None
 
+    def violations(self, tol: float = 1e-9) -> list:
+        """validate_metric(self, tol), computed on the first call only."""
+        if tol not in self._violations:
+            self._violations[tol] = tuple(validate_metric(self, tol=tol))
+        return list(self._violations[tol])
+
     def point_label(self, index: int) -> str:
         """Label for a cross-matrix index (clients first, then facilities)."""
         n = self.n_clients
@@ -150,10 +159,36 @@ class MetricInstance:
 
 
 def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
-    """Check symmetry, zero diagonal, and all triangle inequalities.
+    """Check every triangle inequality of the cross matrix.
 
-    Returns a list of Violation records (empty when the instance is a
-    genuine metric up to relative tolerance). Requires cross distances.
+    Returns a list of Violation records, empty when the instance is a
+    genuine metric up to relative tolerance, ordered by middle point and
+    then row-major by (x, z). Requires cross distances. Symmetry and the
+    zero diagonal hold already: the constructor makes cross exactly
+    symmetric and rejects a nonzero diagonal.
+
+    (x, y, z) with x < z, y not in {x, z}, is violated when, with every
+    operation rounded as written, t = c[x,y] + c[y,z] and
+    c[x,z] - t > tol * max(1, c[x,z], t). The exact test runs only on
+    the pairs (x, z) that a compiled gate flags, over every y.
+
+    The gate is the Floyd-Warshall closure D of cross. Each update
+    D[x,z] = min(D[x,z], D[x,y] + D[y,z]) adds entries no larger than
+    cross, and rounded addition is monotone, so D[x,z] <= t for every y.
+    With tol >= 0 a violation needs t < c = c[x,z], so its threshold is
+    tau = tol * max(1, c). From fl(c - t) <= (c - t)(1 + u), u = 2**-53,
+    a violation gives t < c - tau/(1 + u) <= c - tau + u*tau. The gate
+    flags D < (c - tau) + 2**-40 * (c + tau): the margin exceeds u*tau
+    plus the rounding of the subtraction and the addition (each at most
+    u*(c + tau)), so every violated pair is flagged. Pairs flagged but
+    not violated, such as a chain of sub-tolerance shortcuts that add
+    up past the threshold, fail the exact test and are dropped. A
+    negative or NaN tol flags every pair.
+
+    Zero off-diagonal distances (shared locations, repeated graph
+    vertices) must stay edges of length 0. A dense matrix given to
+    shortest_path reads them as missing edges, so the closure is built
+    from a sparse graph whose only missing entries are inf.
     """
     if instance.cross is None:
         raise MissingCrossDistances(
@@ -161,43 +196,39 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
         )
     cross = instance.cross
     size = cross.shape[0]
-    out = []
-    asym = np.argwhere(np.abs(cross - cross.T) > tol * np.maximum(1.0, np.abs(cross)))
-    for i, j in asym:
-        if i < j:
-            out.append(
-                Violation(
-                    "asymmetry",
-                    (instance.point_label(i), instance.point_label(j)),
-                    float(abs(cross[i, j] - cross[j, i])),
-                )
-            )
-    for i in range(size):
-        if cross[i, i] != 0:
-            out.append(
-                Violation("nonzero_diagonal", (instance.point_label(i),), float(cross[i, i]))
-            )
-    # d(x,z) <= d(x,y) + d(y,z) for every middle point y, with slack
-    # measured relative to the scale of the three distances involved
-    for y in range(size):
-        through = cross[:, y][:, None] + cross[y, :][None, :]
-        slack = cross - through
-        scale = np.maximum(1.0, np.maximum(cross, through))
-        bad = np.argwhere(slack > tol * scale)
-        for x, z in bad:
-            if x < z and x != y and z != y:
-                out.append(
-                    Violation(
-                        "triangle",
-                        (
-                            instance.point_label(x),
-                            instance.point_label(y),
-                            instance.point_label(z),
-                        ),
-                        float(slack[x, z]),
-                    )
-                )
-    return out
+    if tol >= 0:
+        closure = shortest_path(
+            csgraph_from_dense(cross, null_value=np.inf), method="FW", directed=False
+        )
+        tau = tol * np.maximum(1.0, cross)
+        flagged = closure < (cross - tau) + 2.0**-40 * (cross + tau)
+    else:
+        flagged = np.ones_like(cross, dtype=bool)
+    xs, zs = np.nonzero(np.triu(flagged, 1))
+    found = []
+    step = max(1, _RECHECK_CELLS // size)
+    for lo in range(0, xs.size, step):
+        x, z = xs[lo:lo + step], zs[lo:lo + step]
+        direct = cross[x, z][:, None]
+        # cross[z, :] is cross[:, z] exactly, so these sums are the
+        # c[x,y] + c[y,z] of the full enumeration, bit for bit
+        through = cross[x, :] + cross[z, :]
+        slack = direct - through
+        scale = np.maximum(1.0, np.maximum(direct, through))
+        bad = slack > tol * scale
+        rows = np.arange(x.size)
+        bad[rows, x] = False
+        bad[rows, z] = False
+        f, y = np.nonzero(bad)
+        found.append((y, x[f], z[f], slack[f, y]))
+    if not found:
+        return []
+    y, x, z, slack = (np.concatenate(parts) for parts in zip(*found))
+    label = instance.point_label
+    return [
+        Violation("triangle", (label(x[i]), label(y[i]), label(z[i])), float(slack[i]))
+        for i in np.lexsort((z, x, y))
+    ]
 
 
 def build_from_matrix(
@@ -221,13 +252,10 @@ def build_from_matrix(
         facility_labels=tuple(facility_labels) if facility_labels else (),
         provenance=dict(provenance or {}),
     )
-    if inst.cross is not None:
-        violations = validate_metric(inst, tol=tol)
-        for v in violations:
-            if v.kind == "triangle":
-                raise TriangleViolation(v.points[0], v.points[1], v.points[2], v.slack)
-        if violations:
-            raise AsymmetricCross("cross matrix failed validation: %r" % violations[0])
+    violations = inst.violations(tol) if inst.cross is not None else []
+    if violations:
+        v = violations[0]
+        raise TriangleViolation(v.points[0], v.points[1], v.points[2], v.slack)
     return inst
 
 

@@ -217,6 +217,26 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["violations_total"] == 1
 
+    def test_lemmas_validates_once(self, triple_file, capsys, monkeypatch):
+        # loading the file validates the metric; the check reuses that verdict
+        import centrum.harness as harness_mod
+        import centrum.metric as metric_mod
+
+        calls = []
+        real = metric_mod.validate_metric
+
+        def counting(instance, tol=1e-9):
+            calls.append(tol)
+            return real(instance, tol=tol)
+
+        # wherever the package looks the name up
+        monkeypatch.setattr(metric_mod, "validate_metric", counting)
+        monkeypatch.setattr(harness_mod, "validate_metric", counting, raising=False)
+        assert run(["verify", "--suite", "lemmas", "--instance", triple_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert any(rec["name"] == "metric_axioms" for rec in doc["checks"])
+        assert calls == [1e-9]
+
     def test_missing_instance_for_lemmas(self, capsys):
         assert run(["verify", "--suite", "lemmas"]) == 2
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from centrum import (
     MultiSweepConfig,
@@ -19,6 +20,7 @@ from centrum import (
     sweep_pair,
 )
 from centrum.errors import BadConfig
+from centrum.harness import CheckRecord
 from centrum.metric import MetricInstance, build_from_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -37,6 +39,39 @@ UNIVERSAL_CHECKS = (
     "opt_cost_cross_bound_downward",
     "subset_sum_domination",
 )
+
+
+_SLACKS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1e-9, 1e-3, -1.0, 2.0, math.nan]),
+              st.floats(-3.0, 3.0)),
+    max_size=40,
+)
+
+
+class TestCheckRecordAddMany:
+    """add_many against a loop of add, the code it replaced."""
+
+    @given(_SLACKS, _SLACKS, st.sampled_from([0.0, 1e-9, 0.5]))
+    def test_matches_add_loop(self, before, slacks, tol):
+        one, many = CheckRecord("c"), CheckRecord("c")
+        for rec in (one, many):
+            for i, s in enumerate(before):
+                rec.add(s, {"i": i}, tol)
+        for i, s in enumerate(slacks):
+            one.add(s, {"j": i}, tol)
+        many.add_many(np.array(slacks), lambda i: {"j": i}, tol)
+        assert many.comparisons == one.comparisons
+        assert many.violation_count == one.violation_count
+        assert many.violations == one.violations
+        assert math.copysign(1.0, many.max_slack) == math.copysign(1.0, one.max_slack)
+        assert many.max_slack == one.max_slack
+
+    def test_details_built_only_for_kept_examples(self):
+        rec = CheckRecord("c")
+        built = []
+        rec.add_many(np.ones(100), lambda i: built.append(i) or {"i": i}, 0.0)
+        assert built == list(range(25))
+        assert rec.violation_count == 100
 
 
 class TestCheckInequalities:

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from centrum import (
     MetricInstance,
     build_from_graph,
     build_from_matrix,
     build_from_points,
+    gen_random_euclidean,
+    gen_tight_pair_line,
+    gen_tight_pair_triangle,
+    gen_tight_triple,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -32,7 +37,101 @@ from centrum.errors import (
     TriangleViolation,
 )
 
-from conftest import graph_instances, point_instances
+from conftest import graph_instances, metric_instances, point_instances
+
+
+def loop_validate(instance, tol=1e-9):
+    """The full O(N^3) enumeration that validate_metric's gate replaced,
+    kept as the differential oracle: (kind, points, slack) per record."""
+    cross = instance.cross
+    size = cross.shape[0]
+    label = instance.point_label
+    out = []
+    asym = np.argwhere(np.abs(cross - cross.T) > tol * np.maximum(1.0, np.abs(cross)))
+    for i, j in asym:
+        if i < j:
+            out.append(("asymmetry", (label(i), label(j)), float(abs(cross[i, j] - cross[j, i]))))
+    for i in range(size):
+        if cross[i, i] != 0:
+            out.append(("nonzero_diagonal", (label(i),), float(cross[i, i])))
+    for y in range(size):
+        through = cross[:, y][:, None] + cross[y, :][None, :]
+        slack = cross - through
+        scale = np.maximum(1.0, np.maximum(cross, through))
+        bad = np.argwhere(slack > tol * scale)
+        for x, z in bad:
+            if x < z and x != y and z != y:
+                out.append(("triangle", (label(x), label(y), label(z)), float(slack[x, z])))
+    return out
+
+
+def records(violations):
+    return [(v.kind, v.points, v.slack) for v in violations]
+
+
+def with_cross(cross, n):
+    return MetricInstance(dist=cross[:n, n:].copy(), cross=cross)
+
+
+_TOLS = st.sampled_from([1e-9, 1e-6, 1e-3, 0.0])
+
+
+@st.composite
+def shared_euclid(draw):
+    """Facilities on the client points: a zero distance per facility."""
+    n = draw(st.integers(2, 12))
+    return gen_random_euclidean(n, None, dim=draw(st.integers(1, 3)),
+                                seed=draw(st.integers(0, 10**6)), shared=True)
+
+
+@st.composite
+def tight_instances(draw):
+    k = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["line", "triangle", "triple"]))
+    if family == "line":
+        return gen_tight_pair_line(k, k * draw(st.integers(5, 9)))
+    if family == "triangle":
+        return gen_tight_pair_triangle(k, k * draw(st.integers(2, 4)))
+    return gen_tight_triple(k + 1, (k + 1) * draw(st.integers(2, 6)))
+
+
+def base_metrics():
+    return st.one_of(metric_instances(), shared_euclid(), tight_instances())
+
+
+@st.composite
+def near_metrics(draw):
+    """A metric with a few distances moved to within ulps of the
+    tolerance boundary of one of their triangles, either side of it."""
+    base = draw(base_metrics())
+    tol = draw(_TOLS)
+    cross = base.cross.copy()
+    size = cross.shape[0]
+    if size >= 3:
+        for _ in range(draw(st.integers(1, 3))):
+            x, y, z = draw(st.permutations(range(size)))[:3]
+            through = cross[x, y] + cross[y, z]
+            value = through
+            for _ in range(3):  # fixed point of value = through + tol * max(1, value)
+                value = through + tol * max(1.0, value)
+            steps = draw(st.integers(-4, 4))
+            for _ in range(abs(steps)):
+                value = np.nextafter(value, np.inf if steps > 0 else 0.0)
+            cross[x, z] = cross[z, x] = value
+    return with_cross(cross, base.n_clients), tol
+
+
+@st.composite
+def sub_tolerance_chains(draw):
+    """Points on a line whose every triangle holds within tol, while the
+    path through all neighbours undercuts far pairs by more than tol."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    gaps = draw(st.lists(st.floats(0.01, 0.08), min_size=4, max_size=10))
+    eps = tol * draw(st.floats(0.5, 0.95))
+    pos = np.concatenate([[0.0], np.cumsum(gaps)])
+    hops = np.abs(np.subtract.outer(np.arange(pos.size), np.arange(pos.size)))
+    cross = np.abs(np.subtract.outer(pos, pos)) + eps * np.maximum(hops - 1, 0)
+    return with_cross(cross, draw(st.integers(1, pos.size - 1))), tol
 
 
 class TestBuildFromMatrix:
@@ -291,6 +390,111 @@ class TestValidateMetric:
         inst = build_from_matrix([[1.0]])
         with pytest.raises(MissingCrossDistances):
             validate_metric(inst)
+
+
+class TestValidateMetricOracle:
+    """The gated validate_metric against the full enumeration."""
+
+    @given(base_metrics(), _TOLS)
+    def test_metric_families(self, inst, tol):
+        assert records(validate_metric(inst, tol=tol)) == loop_validate(inst, tol)
+
+    @given(near_metrics())
+    def test_violations_at_the_tolerance(self, case):
+        inst, tol = case
+        assert records(validate_metric(inst, tol=tol)) == loop_validate(inst, tol)
+
+    @given(sub_tolerance_chains())
+    def test_chains_flagged_by_closure_but_clean(self, case):
+        inst, tol = case
+        closure = shortest_path(inst.cross, method="FW", directed=False)
+        assert np.any(closure < inst.cross - tol * np.maximum(1.0, inst.cross))
+        assert loop_validate(inst, tol) == []
+        assert validate_metric(inst, tol=tol) == []
+
+    @pytest.mark.parametrize("cells", [100, 1 << 18])
+    def test_many_violations_keep_enumeration_order(self, cells, monkeypatch):
+        import centrum.metric as metric_mod
+
+        # a small block size splits the recheck into many blocks
+        monkeypatch.setattr(metric_mod, "_RECHECK_CELLS", cells)
+        rng = np.random.default_rng(7)
+        cross = rng.uniform(0.0, 10.0, (30, 30))
+        cross = (cross + cross.T) / 2.0
+        np.fill_diagonal(cross, 0.0)
+        inst = with_cross(cross, 12)
+        expected = loop_validate(inst)
+        assert len(expected) > 500
+        assert records(validate_metric(inst)) == expected
+
+    def test_negative_tol_checks_every_triangle(self):
+        inst = gen_tight_pair_triangle(2, 5)
+        expected = [r for r in loop_validate(inst, -0.5) if r[0] == "triangle"]
+        assert expected
+        assert records(validate_metric(inst, tol=-0.5)) == expected
+
+
+class TestZeroDistances:
+    def test_zero_distance_is_an_edge(self):
+        # points 0 and 1 share a location, so d(0,2) = 2 > d(0,1) + d(1,2) = 1.
+        # A closure of the dense matrix reads the zero as a missing edge,
+        # finds no path shorter than 2 and misses the violation.
+        cross = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        inst = with_cross(cross, 1)
+        assert records(validate_metric(inst)) == [("triangle", ("c0", "f0", "f1"), 1.0)]
+        with pytest.raises(TriangleViolation):
+            build_from_matrix(cross[:1, 1:], cross=cross)
+
+    def test_shared_locations_moved_apart(self):
+        # facility i sits on client i; stretching one client-facility
+        # distance breaks the triangle through the co-located point
+        inst = gen_random_euclidean(6, None, dim=2, seed=3, shared=True)
+        cross = inst.cross.copy()
+        cross[0, 6 + 1] = cross[6 + 1, 0] = cross[0, 1] + 0.5
+        moved = with_cross(cross, 6)
+        expected = loop_validate(moved)
+        assert ("triangle", ("c0", "c1", "f1"), pytest.approx(0.5)) in expected
+        assert records(validate_metric(moved)) == expected
+
+    def test_repeated_graph_vertices(self):
+        inst = build_from_graph(
+            ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)],
+            ["a", "a", "c"], ["b", "c"],
+        )
+        assert inst.cross[0, 1] == 0.0
+        cross = inst.cross.copy()
+        cross[0, 4] = cross[4, 0] = 3.5  # a -> c, while its twin is 3 away
+        moved = with_cross(cross, 3)
+        expected = loop_validate(moved)
+        assert expected
+        assert records(validate_metric(moved)) == expected
+
+
+class TestValidateOnce:
+    def test_cached_per_tol(self, monkeypatch):
+        import centrum.metric as metric_mod
+
+        calls = []
+        real = metric_mod.validate_metric
+
+        def counting(instance, tol=1e-9):
+            calls.append(tol)
+            return real(instance, tol=tol)
+
+        monkeypatch.setattr(metric_mod, "validate_metric", counting)
+        cross = np.array([[0.0, 1.0, 2.001], [1.0, 0.0, 1.0], [2.001, 1.0, 0.0]])
+        inst = with_cross(cross, 2)
+        first = inst.violations(1e-9)
+        assert records(inst.violations(1e-9)) == records(first) == loop_validate(inst)
+        assert inst.violations(1e-2) == []
+        assert calls == [1e-9, 1e-2]
+
+    def test_build_from_matrix_records_the_verdict(self, monkeypatch):
+        import centrum.metric as metric_mod
+
+        inst = build_from_matrix([[1.0]], cross=[[0.0, 1.0], [1.0, 0.0]])
+        monkeypatch.setattr(metric_mod, "validate_metric", None)
+        assert inst.violations(1e-9) == []
 
 
 class TestSerialization:
