@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid input or parameters,
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, jsonutil
@@ -52,6 +53,16 @@ def _parse_objectives(text: str) -> tuple:
     if not ks:
         raise argparse.ArgumentTypeError("objectives list is empty")
     return tuple(ks)
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("tol must be a number")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("tol must be finite and >= 0, got %s" % text)
+    return tol
 
 
 def _emit(payload, out_path=None) -> None:
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_parse_tol, default=1e-9,
                        help="relative tolerance for metric and inequality checks")
 
     def seed(p):

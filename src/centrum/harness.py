@@ -11,6 +11,7 @@ serialize deterministically so runs can be diffed.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -30,6 +31,9 @@ from .objectives import cost_profile, graph_from_profile
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
 _VIOLATION_CAP = 25  # per check, to keep reports readable
+# cap on the (selectors, n, m) prefix sums that subset-sum domination
+# gathers at once: 256 KB, so 10^6 clients run one selector per block
+_SUBSET_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -181,9 +185,9 @@ class VerificationReport:
         dump_path(self.to_jsonable(), path)
 
 
-def _rel(lhs: float, rhs: float) -> float:
-    """Signed slack of lhs <= rhs, relative to the scale involved."""
-    return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _rel(lhs, rhs):
+    """Signed slacks of lhs <= rhs, relative to the scale involved."""
+    return (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def _simple_cycles(q: int):
@@ -195,101 +199,128 @@ def _simple_cycles(q: int):
                 yield (subset[0],) + perm
 
 
+@cache
+def _cycle_table(q: int) -> tuple:
+    """(cycles, tails, heads, beta) for the simple cycles on q nodes.
+
+    Row r of tails and heads lists cycle r's edges, padded to q with -1;
+    beta[r] is the guarantee for the cycle's length. The arrays are
+    read-only, since every call with this q shares them.
+    """
+    cycles = tuple(_simple_cycles(q))
+    tails = np.full((len(cycles), q), -1)
+    heads = np.full((len(cycles), q), -1)
+    for r, cycle in enumerate(cycles):
+        tails[r, : len(cycle)] = cycle
+        heads[r, : len(cycle)] = cycle[1:] + cycle[:1]
+    beta = np.array([beta_q(len(cycle)) for cycle in cycles])
+    for array in (tails, heads, beta):
+        array.setflags(write=False)
+    return cycles, tails, heads, beta
+
+
 def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
     """Run every structural inequality on one instance.
 
     Cost-only inequalities run always; the ones whose proofs lean on
     the triangle inequality run only when the instance carries verified
-    cross distances. Returns a report with one record per check.
+    cross distances. Returns a report with one record per check. Each
+    check is one array pass over all rank pairs, selectors or cycles,
+    recorded in that order.
     """
     profile = cost_profile(instance, objectives)
     report = VerificationReport()
     ks = profile.ks
-    costs = profile.costs  # (m, q)
+    costs = profile.costs.T  # (q, m)
     opt = profile.optimal_costs
     metric = instance.metric_verified
     weights = graph_from_profile(profile).weights
     flabels = instance.facility_labels
+    ranks = np.array(ks)
+    q, m = costs.shape
 
-    def vector_check(name, lhs, rhs, detail):
+    def record(name, slacks, details_fn):
         rec = report.check(name)
         rec.instances = 1
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        slack = (lhs - rhs) / scale
-        order = np.argsort(slack)[::-1]
-        rec.add_many(slack[order], lambda i: dict(detail, facility=flabels[order[i]]), tol)
+        rec.add_many(slacks, details_fn, tol)
+        return rec
 
     if metric:
-        rec = report.check("metric_axioms")
-        rec.instances = 1
         violations = instance.violations(tol)
-        rec.add_many([v.slack for v in violations], lambda i: violations[i].to_jsonable(), tol)
+        rec = record(
+            "metric_axioms", [v.slack for v in violations], lambda i: violations[i].to_jsonable()
+        )
         if rec.comparisons == 0:
             rec.add(0.0)
 
-    for i, j in combinations(range(len(ks)), 2):
-        k, p = ks[i], ks[j]
-        pair = {"k": k, "p": p}
-        vector_check("costs_monotone_in_k", costs[:, i], costs[:, j], pair)
-        vector_check("topk_sum_scaling", costs[:, j], (p / k) * costs[:, i], pair)
-        vector_check(
-            "tail_average_bound",
-            (k / (p - k)) * (costs[:, j] - costs[:, i]),
-            costs[:, i],
-            pair,
+    lo, hi = np.triu_indices(q, 1)  # rank pairs i < j, in combinations order
+    if lo.size:
+        pairs = [{"k": ks[i], "p": ks[j]} for i, j in zip(lo.tolist(), hi.tolist())]
+        k, p = ranks[lo], ranks[hi]
+
+        def facility_check(name, lhs, rhs):
+            # per pair, facilities from the largest slack down
+            slack = _rel(lhs, rhs)
+            order = np.argsort(slack, axis=1)[:, ::-1]
+            record(
+                name,
+                np.take_along_axis(slack, order, axis=1).ravel(),
+                lambda i: dict(pairs[i // m], facility=flabels[order[i // m, i % m]]),
+            )
+
+        c_k, c_p = costs[lo], costs[hi]
+        facility_check("costs_monotone_in_k", c_k, c_p)
+        facility_check("topk_sum_scaling", c_p, (p / k)[:, None] * c_k)
+        facility_check("tail_average_bound", (k / (p - k))[:, None] * (c_p - c_k), c_k)
+        a_kp = weights[hi, lo]  # optimum of p measured under k
+        a_pk = weights[lo, hi]  # optimum of k measured under p
+        record("ratio_product_bound", _rel(a_kp * a_pk, p / k), pairs.__getitem__)
+        record(
+            "opt_cost_cross_bound_downward",
+            _rel((k / p) * a_pk * opt[hi], opt[lo]),
+            pairs.__getitem__,
         )
-        a_kp = float(weights[j, i])  # optimum of p measured under k
-        a_pk = float(weights[i, j])  # optimum of k measured under p
-        rec = report.check("ratio_product_bound")
-        rec.instances = 1
-        rec.add(_rel(a_kp * a_pk, p / k), pair, tol)
-        rec = report.check("opt_cost_cross_bound_downward")
-        rec.instances = 1
-        rec.add(_rel((k / p) * a_pk * float(opt[j]), float(opt[i])), pair, tol)
         if metric:
-            rec = report.check("reciprocal_pair_bound")
-            rec.instances = 1
-            rec.add(_rel(a_kp, 1.0 / a_pk + 2.0), pair, tol)
-            if 2 * k <= p:
-                rec = report.check("reciprocal_pair_bound_small_ratio")
-                rec.instances = 1
-                rec.add(_rel(a_kp, 1.0 / a_pk + 2.0 - 2.0 * k / p), pair, tol)
-            rec = report.check("opt_cost_cross_bound_upward")
-            rec.instances = 1
-            rec.add(_rel((p / k) * (a_kp - 2.0) * float(opt[i]), float(opt[j])), pair, tol)
+            record("reciprocal_pair_bound", _rel(a_kp, 1.0 / a_pk + 2.0), pairs.__getitem__)
+            small = np.flatnonzero(2 * k <= p)
+            if small.size:
+                record(
+                    "reciprocal_pair_bound_small_ratio",
+                    _rel(a_kp[small], 1.0 / a_pk[small] + 2.0 - 2.0 * k[small] / p[small]),
+                    lambda i: pairs[small[i]],
+                )
+            record(
+                "opt_cost_cross_bound_upward",
+                _rel((p / k) * (a_kp - 2.0) * opt[lo], opt[hi]),
+                pairs.__getitem__,
+            )
 
     # any p distinct clients sum to at most the objective-p cost; the
     # extremal candidates are the p clients farthest from some facility
-    rec = report.check("subset_sum_domination")
-    rec.instances = 1
     dist = instance.dist
-    for a in range(dist.shape[1]):
-        order = np.argsort(-dist[:, a], kind="stable")
-        prefix = np.cumsum(dist[order, :], axis=0)
-        for j, p in enumerate(ks):
-            lhs = prefix[p - 1, :]
-            rhs = costs[:, j]
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            slack = (lhs - rhs) / scale
-            worst = int(np.argmax(slack))
-            rec.add(
-                float(slack[worst]),
-                {"selector": flabels[a], "p": p, "facility": flabels[worst]},
-                tol,
-            )
+    worst = np.empty((m, q), dtype=np.intp)
+    top = np.empty((m, q))
+    step = max(1, _SUBSET_BLOCK_CELLS // dist.size)
+    for a in range(0, m, step):
+        block = slice(a, a + step)
+        order = np.argsort(-dist[:, block], axis=0, kind="stable")
+        prefix = dist[order.T]  # (selectors, n, m), farthest clients first
+        np.cumsum(prefix, axis=1, out=prefix)
+        slack = _rel(prefix[:, ranks - 1, :], costs)
+        worst[block] = np.argmax(slack, axis=2)
+        top[block] = np.take_along_axis(slack, worst[block, :, None], axis=2)[..., 0]
+    record(
+        "subset_sum_domination",
+        top.ravel(),
+        lambda i: {"selector": flabels[i // q], "p": ks[i % q], "facility": flabels[worst.flat[i]]},
+    )
 
-    if metric and 2 <= len(ks) <= 5:
-        rec = report.check("cycle_min_edge_bound")
-        rec.instances = 1
-        betas = {size: beta_q(size) for size in range(2, len(ks) + 1)}
-        for cycle in _simple_cycles(len(ks)):
-            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-            low = min(float(weights[u, v]) for u, v in edges)
-            rec.add(
-                low - betas[len(cycle)],
-                {"cycle": [ks[c] for c in cycle]},
-                tol,
-            )
+    if metric and 2 <= q <= 5:
+        cycles, tails, heads, beta = _cycle_table(q)
+        low = np.where(tails >= 0, weights[tails, heads], np.inf).min(axis=1)
+        record(
+            "cycle_min_edge_bound", low - beta, lambda i: {"cycle": [ks[c] for c in cycles[i]]}
+        )
 
     return report
 

@@ -241,6 +241,37 @@ class TestVerify:
         assert run(["verify", "--suite", "lemmas"]) == 2
 
 
+class TestTolOption:
+    """--tol takes finite values >= 0; anything else is a usage error."""
+
+    @staticmethod
+    def argv(command, path):
+        return {
+            "solve": ["solve", path, "--objectives", "1,5,30"],
+            "graph": ["graph", path, "--objectives", "1,5,30"],
+            "verify": ["verify", "--suite", "lemmas", "--instance", path],
+            "verify-sweep": ["verify", "--suite", "pair", "--instances", "1"],
+        }[command]
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e-9x"])
+    @pytest.mark.parametrize("command", ["solve", "graph", "verify", "verify-sweep"])
+    def test_rejected(self, triple_file, capsys, command, value):
+        assert run(self.argv(command, triple_file) + ["--tol", value]) == 1
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "graph"])
+    def test_zero_accepted(self, triple_file, capsys, command):
+        assert run(self.argv(command, triple_file) + ["--tol", "0"]) == 0
+
+    def test_zero_reaches_lemmas(self, triple_file, capsys):
+        assert run(self.argv("verify", triple_file) + ["--tol", "0"]) in (0, 3)
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 0.0
+
+    def test_zero_still_rejected_by_sweeps(self, triple_file, capsys):
+        assert run(self.argv("verify-sweep", triple_file) + ["--tol", "0"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+
 class TestGraphCommand:
     def test_dumps_weights(self, triple_file, capsys):
         assert run(["graph", triple_file, "--objectives", "1,5,30"]) == 0

@@ -2,26 +2,35 @@
 
 import csv
 import math
+import tracemalloc
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from centrum import (
     MultiSweepConfig,
     PairSweepConfig,
+    build_from_points,
     check_inequalities,
     emit_bound_curves,
     gen_random_euclidean,
     gen_tight_pair_line,
+    gen_tight_pair_triangle,
     gen_tight_triple,
+    jsonutil,
     ratio_graph,
     sweep_multi,
     sweep_pair,
 )
+from centrum import harness
+from centrum.bounds import beta_q
 from centrum.errors import BadConfig
-from centrum.harness import CheckRecord
+from centrum.harness import CheckRecord, VerificationReport
 from centrum.metric import MetricInstance, build_from_matrix
+from centrum.objectives import cost_profile, graph_from_profile
+from conftest import graph_instances, point_instances, raw_instances
 
 SQRT2 = math.sqrt(2.0)
 BETA3 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -72,6 +81,215 @@ class TestCheckRecordAddMany:
         rec.add_many(np.ones(100), lambda i: built.append(i) or {"i": i}, 0.0)
         assert built == list(range(25))
         assert rec.violation_count == 100
+
+
+def _rel(lhs: float, rhs: float) -> float:
+    """Signed slack of lhs <= rhs, relative to the scale involved."""
+    return (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def _simple_cycles(q: int):
+    """All directed simple cycles of the complete digraph on q nodes,
+    each yielded once (the smallest node first)."""
+    for size in range(2, q + 1):
+        for subset in combinations(range(q), size):
+            for perm in permutations(subset[1:]):
+                yield (subset[0],) + perm
+
+
+def loop_check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
+    """The per-pair, per-selector loop that check_inequalities replaced,
+    kept verbatim as its differential oracle."""
+    profile = cost_profile(instance, objectives)
+    report = VerificationReport()
+    ks = profile.ks
+    costs = profile.costs  # (m, q)
+    opt = profile.optimal_costs
+    metric = instance.metric_verified
+    weights = graph_from_profile(profile).weights
+    flabels = instance.facility_labels
+
+    def vector_check(name, lhs, rhs, detail):
+        rec = report.check(name)
+        rec.instances = 1
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        slack = (lhs - rhs) / scale
+        order = np.argsort(slack)[::-1]
+        rec.add_many(slack[order], lambda i: dict(detail, facility=flabels[order[i]]), tol)
+
+    if metric:
+        rec = report.check("metric_axioms")
+        rec.instances = 1
+        violations = instance.violations(tol)
+        rec.add_many([v.slack for v in violations], lambda i: violations[i].to_jsonable(), tol)
+        if rec.comparisons == 0:
+            rec.add(0.0)
+
+    for i, j in combinations(range(len(ks)), 2):
+        k, p = ks[i], ks[j]
+        pair = {"k": k, "p": p}
+        vector_check("costs_monotone_in_k", costs[:, i], costs[:, j], pair)
+        vector_check("topk_sum_scaling", costs[:, j], (p / k) * costs[:, i], pair)
+        vector_check(
+            "tail_average_bound",
+            (k / (p - k)) * (costs[:, j] - costs[:, i]),
+            costs[:, i],
+            pair,
+        )
+        a_kp = float(weights[j, i])  # optimum of p measured under k
+        a_pk = float(weights[i, j])  # optimum of k measured under p
+        rec = report.check("ratio_product_bound")
+        rec.instances = 1
+        rec.add(_rel(a_kp * a_pk, p / k), pair, tol)
+        rec = report.check("opt_cost_cross_bound_downward")
+        rec.instances = 1
+        rec.add(_rel((k / p) * a_pk * float(opt[j]), float(opt[i])), pair, tol)
+        if metric:
+            rec = report.check("reciprocal_pair_bound")
+            rec.instances = 1
+            rec.add(_rel(a_kp, 1.0 / a_pk + 2.0), pair, tol)
+            if 2 * k <= p:
+                rec = report.check("reciprocal_pair_bound_small_ratio")
+                rec.instances = 1
+                rec.add(_rel(a_kp, 1.0 / a_pk + 2.0 - 2.0 * k / p), pair, tol)
+            rec = report.check("opt_cost_cross_bound_upward")
+            rec.instances = 1
+            rec.add(_rel((p / k) * (a_kp - 2.0) * float(opt[i]), float(opt[j])), pair, tol)
+
+    # any p distinct clients sum to at most the objective-p cost; the
+    # extremal candidates are the p clients farthest from some facility
+    rec = report.check("subset_sum_domination")
+    rec.instances = 1
+    dist = instance.dist
+    for a in range(dist.shape[1]):
+        order = np.argsort(-dist[:, a], kind="stable")
+        prefix = np.cumsum(dist[order, :], axis=0)
+        for j, p in enumerate(ks):
+            lhs = prefix[p - 1, :]
+            rhs = costs[:, j]
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            slack = (lhs - rhs) / scale
+            worst = int(np.argmax(slack))
+            rec.add(
+                float(slack[worst]),
+                {"selector": flabels[a], "p": p, "facility": flabels[worst]},
+                tol,
+            )
+
+    if metric and 2 <= len(ks) <= 5:
+        rec = report.check("cycle_min_edge_bound")
+        rec.instances = 1
+        betas = {size: beta_q(size) for size in range(2, len(ks) + 1)}
+        for cycle in _simple_cycles(len(ks)):
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            low = min(float(weights[u, v]) for u, v in edges)
+            rec.add(
+                low - betas[len(cycle)],
+                {"cycle": [ks[c] for c in cycle]},
+                tol,
+            )
+
+    return report
+
+
+_DEGENERATE = build_from_matrix([[0.0, 5.0], [0.0, 6.0]])
+_BROKEN_CROSS = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+_BROKEN = MetricInstance(dist=_BROKEN_CROSS[:2, 2:], cross=_BROKEN_CROSS, provenance={})
+
+
+@st.composite
+def _family_instances(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 6))
+        return gen_tight_triple(k, k * draw(st.integers(2, 6)))
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(k + 1, 16))
+    return gen_tight_pair_line(k, p) if p > 4 * k else gen_tight_pair_triangle(k, p)
+
+
+@st.composite
+def _tied_instances(draw):
+    """Small integer distances, so slacks tie often: a bare matrix, or
+    integer points under L1, which give a verified metric."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cells = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        return build_from_matrix(np.array(draw(st.lists(cells, min_size=n, max_size=n)), float))
+    coords = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    cpts = draw(st.lists(coords, min_size=n, max_size=n))
+    fpts = draw(st.lists(coords, min_size=m, max_size=m))
+    return build_from_points(cpts, fpts, norm=1)
+
+
+_ANY_INSTANCE = st.one_of(
+    raw_instances(),
+    point_instances(),
+    graph_instances(),
+    _family_instances(),
+    _tied_instances(),
+    st.sampled_from([_DEGENERATE, _BROKEN]),
+)
+
+
+def _report_bytes(fn, instance, ks, tol) -> str:
+    return jsonutil.dumps(fn(instance, ks, tol=tol).to_jsonable())
+
+
+class TestCheckInequalitiesOracle:
+    """check_inequalities against the loop it replaced, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
+    @settings(max_examples=120)
+    @given(_ANY_INSTANCE, st.data(), st.sampled_from([1e-9, 0.0, -1.0]))
+    def test_matches_loop(self, instance, data, tol):
+        # q = 1 has no pairs; q = 6 has no cycle check; tol = -1 makes
+        # every comparison an example, which pins the order and the cap
+        n, m = instance.dist.shape
+        ranks = st.sets(st.integers(1, n), min_size=1, max_size=min(n, 6))
+        ks = tuple(sorted(data.draw(ranks, label="ks")))
+        expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
+        for cap in (harness._SUBSET_BLOCK_CELLS, 1, n * m - 1, 2 * n * m):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_SUBSET_BLOCK_CELLS", cap)
+                assert _report_bytes(check_inequalities, instance, ks, tol) == expected, cap
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -1.0])
+    @pytest.mark.parametrize("family", ["euclid", "tied", "triple"])
+    def test_matches_loop_on_sweep_sizes(self, tol, family):
+        # tied: L1 distances between points of a 3x3 grid, 40 facilities,
+        # so rows are long enough that the unstable sort orders tied
+        # slacks differently from a stable one
+        if family == "euclid":
+            instance = gen_random_euclidean(60, 12, dim=2, seed=9)
+        elif family == "triple":
+            instance = gen_tight_triple(10, 60)
+        else:
+            rng = np.random.default_rng(9)
+            cpts, fpts = rng.integers(0, 3, (60, 1, 2)), rng.integers(0, 3, (1, 40, 2))
+            instance = build_from_matrix(np.abs(cpts - fpts).sum(axis=2))
+        n, m = instance.dist.shape
+        for ks in [(1, 7, 30, 59, 60), (2, 3, 4, 5, 6, 40)]:
+            expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
+            for selectors_per_block in (None, 1, 5):
+                with pytest.MonkeyPatch.context() as mp:
+                    if selectors_per_block is not None:
+                        cap = selectors_per_block * n * m
+                        mp.setattr(harness, "_SUBSET_BLOCK_CELLS", cap)
+                    assert _report_bytes(check_inequalities, instance, ks, tol) == expected
+
+    def test_memory_on_large_triple(self):
+        # the subset-sum pass gathers one selector's prefix sums at a time
+        # at this size; 8_010_437 bytes is the peak of the per-selector
+        # loop it replaced (numpy 2.4), which held a second copy of them
+        instance = gen_tight_triple(10**2, 10**5)
+        tracemalloc.start()
+        try:
+            check_inequalities(instance, (1, 10**2, 10**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8_010_437
 
 
 class TestCheckInequalities:
