@@ -4,7 +4,10 @@ The worst-case families place many clients on a handful of locations,
 so they are built from a small location-level metric and expanded by
 repeating rows. The expanded cross matrix is only materialized while
 it stays reasonably small; the location-level metric is checked either
-way, and repeating points cannot break the triangle inequality.
+way, and repeating points cannot break the triangle inequality. Client
+labels (c<i>@<location>) are kept as a rule over the row-to-location
+index and formatted only when read, so an instance of 10**6 clients
+holds no label strings until something names a client.
 """
 
 import math
@@ -15,7 +18,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .bounds import pair_bound_f
 from .errors import BadKN, BadParams, RatioTooLarge, RatioTooSmall
-from .metric import MetricInstance, build_from_graph, build_from_points
+from .metric import MetricInstance, _Labels, build_from_graph, build_from_points
 
 # above this many total points the expanded cross matrix is omitted
 # (it would be quadratic in the client count); dist is always present
@@ -36,6 +39,9 @@ def _expand_locations(
     client_placement is a list of (location index, count); facility_locs
     a list of location indices. Row repetition preserves the metric, so
     the expanded instance is as verified as the location metric is.
+    Client i is labelled "c<i>@<its location's label>", made on demand
+    from the row-to-location index; facilities take their location's
+    label.
     """
     loc_cross = np.asarray(loc_cross, dtype=float)
     counts = [c for _, c in client_placement]
@@ -48,15 +54,11 @@ def _expand_locations(
     if n + m <= CROSS_POINT_LIMIT:
         sel = np.concatenate([cidx, fidx])
         cross = loc_cross[np.ix_(sel, sel)]
-    client_labels = tuple(
-        "c%d@%s" % (i, loc_labels[loc]) for i, loc in enumerate(cidx)
-    )
-    facility_labels = tuple(str(loc_labels[loc]) for loc in fidx)
     return MetricInstance(
         dist=dist,
         cross=cross,
-        client_labels=client_labels,
-        facility_labels=facility_labels,
+        client_labels=_Labels("c%d@%s", n, names=loc_labels, index=cidx),
+        facility_labels=[loc_labels[loc] for loc in fidx],
         provenance=provenance,
     )
 

@@ -259,9 +259,11 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
         k, p = ranks[lo], ranks[hi]
 
         def facility_check(name, lhs, rhs):
-            # per pair, facilities from the largest slack down
+            # per pair, facilities from the largest slack down, ties by
+            # facility index (a stable sort, so the order is the same on
+            # every numpy build)
             slack = _rel(lhs, rhs)
-            order = np.argsort(slack, axis=1)[:, ::-1]
+            order = np.argsort(-slack, axis=1, kind="stable")
             record(
                 name,
                 np.take_along_axis(slack, order, axis=1).ravel(),

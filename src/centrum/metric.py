@@ -69,6 +69,67 @@ def _check_entries(arr: np.ndarray, what: str) -> None:
         )
 
 
+class _Labels:
+    """Labels this package invents, made on demand instead of stored.
+
+    Label i is fmt % i, or fmt % (i, names[index[i]]) when names and an
+    index array are given. Indexing formats one label; all() builds the
+    whole tuple on its first call and keeps it.
+    """
+
+    __slots__ = ("fmt", "count", "names", "index", "cache")
+
+    def __init__(self, fmt: str, count: int, names=None, index=None):
+        self.fmt, self.count, self.names, self.index = fmt, count, names, index
+        self.cache = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i) -> str:
+        i = range(self.count)[i]  # a tuple's integer, bound and negative-index rules
+        if self.names is None:
+            return self.fmt % i
+        return self.fmt % (i, self.names[self.index[i]])
+
+    def all(self) -> tuple:
+        if self.cache is None:
+            fmt, names = self.fmt, self.names
+            if names is None:
+                self.cache = tuple(fmt % i for i in range(self.count))
+            else:
+                self.cache = tuple(fmt % (i, names[j]) for i, j in enumerate(self.index.tolist()))
+        return self.cache
+
+
+class _LabelField:
+    """A MetricInstance label field. It stores what the constructor was
+    given (a sequence, or a _Labels rule) under _<name> and reads back
+    as a tuple."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return ()  # the dataclass default
+        labels = getattr(instance, self.slot)
+        return labels.all() if isinstance(labels, _Labels) else labels
+
+    def __set__(self, instance, value):
+        object.__setattr__(instance, self.slot, value)
+
+
+def _own_labels(given, fmt: str, count: int):
+    """Labels as the instance keeps them: a given sequence as a tuple of
+    str, a _Labels rule as it is, nothing as the default fmt % i."""
+    if isinstance(given, _Labels):
+        return given
+    if not given:
+        return _Labels(fmt, count)
+    return tuple(str(s) for s in given)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricInstance:
     """Immutable problem instance.
@@ -76,12 +137,17 @@ class MetricInstance:
     dist has shape (n_clients, m_facilities). cross, when present, has
     shape (n+m, n+m) and is ordered clients first, then facilities; its
     upper-right block must equal dist.
+
+    client_labels and facility_labels read as tuples of str. Labels
+    given by the caller are stored that way; labels the package makes
+    up (c<i> and f<j> by default) are formatted on first read, and
+    point_label formats a single one.
     """
 
     dist: np.ndarray
     cross: np.ndarray | None = None
-    client_labels: tuple = ()
-    facility_labels: tuple = ()
+    client_labels: tuple = _LabelField()
+    facility_labels: tuple = _LabelField()
     provenance: dict = field(default_factory=dict)
     # validate_metric's result per tol, so each instance is checked once
     _violations: dict = field(default_factory=dict, init=False, repr=False)
@@ -94,15 +160,9 @@ class MetricInstance:
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
         n, m = dist.shape
-        if not self.client_labels:
-            object.__setattr__(self, "client_labels", tuple("c%d" % i for i in range(n)))
-        else:
-            object.__setattr__(self, "client_labels", tuple(str(s) for s in self.client_labels))
-        if not self.facility_labels:
-            object.__setattr__(self, "facility_labels", tuple("f%d" % j for j in range(m)))
-        else:
-            object.__setattr__(self, "facility_labels", tuple(str(s) for s in self.facility_labels))
-        if len(self.client_labels) != n or len(self.facility_labels) != m:
+        object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
+        object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
+        if len(self._client_labels) != n or len(self._facility_labels) != m:
             raise BadParams("label counts do not match matrix shape")
         if self.cross is not None:
             cross = _as_float_matrix(self.cross, "cross")
@@ -147,8 +207,8 @@ class MetricInstance:
         """Label for a cross-matrix index (clients first, then facilities)."""
         n = self.n_clients
         if index < n:
-            return self.client_labels[index]
-        return self.facility_labels[index - n]
+            return self._client_labels[index]
+        return self._facility_labels[index - n]
 
     def __repr__(self):
         return "MetricInstance(n_clients=%d, m_facilities=%d, verified=%s)" % (
@@ -356,12 +416,17 @@ def build_from_graph(
     return MetricInstance(
         dist=cross[:n, n:].copy(),
         cross=cross,
-        client_labels=tuple(str(c) if len(cidx) == len(set(cidx)) else "c%d:%s" % (i, c)
-                            for i, c in enumerate(client_ids)),
-        facility_labels=tuple(str(f) if len(fidx) == len(set(fidx)) else "f%d:%s" % (j, f)
-                              for j, f in enumerate(facility_ids)),
+        client_labels=_vertex_labels(client_ids, cidx, "c%d:%s"),
+        facility_labels=_vertex_labels(facility_ids, fidx, "f%d:%s"),
         provenance=dict(provenance or {}),
     )
+
+
+def _vertex_labels(ids, positions, fmt: str):
+    """The vertex ids when they are distinct, else fmt % (i, id) for each."""
+    if len(set(positions)) == len(positions):
+        return ids
+    return _Labels(fmt, len(positions), names=tuple(ids), index=np.arange(len(positions)))
 
 
 def instance_to_dict(instance: MetricInstance) -> dict:

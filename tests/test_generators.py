@@ -1,11 +1,13 @@
 """Worst-case families and random instance generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from centrum import (
+    check_inequalities,
     cost_profile,
     gen_random_euclidean,
     gen_random_graph_metric,
@@ -14,6 +16,7 @@ from centrum import (
     gen_tight_triple,
     pair_bound_f,
     ratio_graph,
+    select_multi_graph,
     select_pair,
     validate_metric,
 )
@@ -130,6 +133,22 @@ class TestTightTriple:
     def test_rejects_bad_sizes(self, k, n):
         with pytest.raises(BadKN):
             gen_tight_triple(k, n)
+
+    def test_large_triple_formats_no_client_label(self):
+        # with one stored label string per client, this build peaked at
+        # 10,639,153 traced bytes; with labels made on demand it peaks at
+        # 3,522,722 (numpy 2.4): dist, the row gather and the index array
+        k, n = 10**2, 10**5
+        tracemalloc.start()
+        try:
+            inst = gen_tight_triple(k, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        select_multi_graph(inst, (1, k, n))
+        check_inequalities(inst, (1, k, n))
+        assert inst._client_labels.cache is None
+        assert peak <= 5_000_000
 
 
 class TestRandomEuclidean:

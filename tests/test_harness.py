@@ -99,7 +99,8 @@ def _simple_cycles(q: int):
 
 def loop_check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
     """The per-pair, per-selector loop that check_inequalities replaced,
-    kept verbatim as its differential oracle."""
+    kept as its differential oracle. Tied facility slacks are listed by
+    facility index, as check_inequalities lists them."""
     profile = cost_profile(instance, objectives)
     report = VerificationReport()
     ks = profile.ks
@@ -114,7 +115,7 @@ def loop_check_inequalities(instance, objectives, tol: float = 1e-9) -> Verifica
         rec.instances = 1
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         slack = (lhs - rhs) / scale
-        order = np.argsort(slack)[::-1]
+        order = np.argsort(-slack, kind="stable")
         rec.add_many(slack[order], lambda i: dict(detail, facility=flabels[order[i]]), tol)
 
     if metric:
@@ -222,6 +223,14 @@ def _tied_instances(draw):
     return build_from_points(cpts, fpts, norm=1)
 
 
+def _tied_l1():
+    """L1 distances from 60 clients to 40 facilities on a 3x3 grid, so
+    each row holds long runs of tied slacks."""
+    rng = np.random.default_rng(9)
+    cpts, fpts = rng.integers(0, 3, (60, 1, 2)), rng.integers(0, 3, (1, 40, 2))
+    return build_from_matrix(np.abs(cpts - fpts).sum(axis=2))
+
+
 _ANY_INSTANCE = st.one_of(
     raw_instances(),
     point_instances(),
@@ -257,17 +266,12 @@ class TestCheckInequalitiesOracle:
     @pytest.mark.parametrize("tol", [1e-9, 0.0, -1.0])
     @pytest.mark.parametrize("family", ["euclid", "tied", "triple"])
     def test_matches_loop_on_sweep_sizes(self, tol, family):
-        # tied: L1 distances between points of a 3x3 grid, 40 facilities,
-        # so rows are long enough that the unstable sort orders tied
-        # slacks differently from a stable one
         if family == "euclid":
             instance = gen_random_euclidean(60, 12, dim=2, seed=9)
         elif family == "triple":
             instance = gen_tight_triple(10, 60)
         else:
-            rng = np.random.default_rng(9)
-            cpts, fpts = rng.integers(0, 3, (60, 1, 2)), rng.integers(0, 3, (1, 40, 2))
-            instance = build_from_matrix(np.abs(cpts - fpts).sum(axis=2))
+            instance = _tied_l1()
         n, m = instance.dist.shape
         for ks in [(1, 7, 30, 59, 60), (2, 3, 4, 5, 6, 40)]:
             expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
@@ -277,6 +281,24 @@ class TestCheckInequalitiesOracle:
                         cap = selectors_per_block * n * m
                         mp.setattr(harness, "_SUBSET_BLOCK_CELLS", cap)
                     assert _report_bytes(check_inequalities, instance, ks, tol) == expected
+
+    def test_tied_slacks_listed_by_facility(self):
+        # in costs_monotone_in_k, f6, f22, f27, f30 and f32 tie at the
+        # larger slack of the (1, 7) pair and every other facility at the
+        # smaller one; in the other two checks every facility but f6 and
+        # f22 ties at slack 0. numpy 2.4's default (unstable) sort listed
+        # the first check as f32, f22, f27, f30, f6, f39, f37, ...
+        report = check_inequalities(_tied_l1(), (1, 7, 30, 59, 60), tol=-1.0)
+        at_zero = [j for j in range(27) if j not in (6, 22)]
+        expected = {
+            "costs_monotone_in_k": [6, 22, 27, 30, 32] + list(range(6)) + list(range(7, 21)),
+            "topk_sum_scaling": at_zero,
+            "tail_average_bound": at_zero,
+        }
+        for name, facilities in expected.items():
+            examples = report.checks[name].violations
+            assert [e["facility"] for e in examples] == ["f%d" % j for j in facilities]
+            assert all((e["k"], e["p"]) == (1, 7) for e in examples)
 
     def test_memory_on_large_triple(self):
         # the subset-sum pass gathers one selector's prefix sums at a time

@@ -571,3 +571,92 @@ class TestSerialization:
         again = instance_from_dict(doc)
         assert np.array_equal(again.dist, inst.dist)
         assert np.array_equal(again.cross, inst.cross)
+
+
+def _old_expanded_labels(loc_labels, placement, facility_locs):
+    """The labels _expand_locations used to store, one string per client."""
+    cidx = np.repeat([loc for loc, _ in placement], [c for _, c in placement])
+    clients = tuple("c%d@%s" % (i, loc_labels[loc]) for i, loc in enumerate(cidx))
+    return clients, tuple(str(loc_labels[loc]) for loc in np.asarray(facility_locs))
+
+
+def _old_graph_labels(vertices, client_ids, facility_ids):
+    """The labels build_from_graph used to store."""
+    index = {v: i for i, v in enumerate(vertices)}
+    cidx = [index[c] for c in client_ids]
+    fidx = [index[f] for f in facility_ids]
+    clients = tuple(str(c) if len(cidx) == len(set(cidx)) else "c%d:%s" % (i, c)
+                    for i, c in enumerate(client_ids))
+    facilities = tuple(str(f) if len(fidx) == len(set(fidx)) else "f%d:%s" % (j, f)
+                       for j, f in enumerate(facility_ids))
+    return clients, facilities
+
+
+def _old_default_labels(n, m):
+    return tuple("c%d" % i for i in range(n)), tuple("f%d" % j for j in range(m))
+
+
+_TRIPLE_LOCATIONS = ["a", "b", "c", "opt_one", "opt_mid", "opt_all"]
+_GRAPH = ([0, 1, 2, "x"], [(0, 1, 1.0), (1, 2, 2.0), (2, "x", 0.5)])
+
+
+def _label_cases(tmp_path):
+    """(instance builder, expected client labels, expected facility labels)."""
+    vertices, edges = _GRAPH
+    csv_path = tmp_path / "dist.csv"
+    csv_path.write_text("fA,fB\n1.0,2.0\n3.5,0.5\n0.0,1.0\n")
+    graph_cases = [
+        ([0, 2, 0, "x", 2, 0], [1, "x", 1]),  # both repeat
+        ([0, 2, 0], [1, "x"]),  # clients repeat
+        ([0, 2, "x"], [1, 1, 0]),  # facilities repeat
+        ([0, 1, 2, "x"], [0, 1, 2, "x"]),  # all distinct
+    ]
+    cases = [
+        (lambda: gen_tight_pair_line(2, 11),
+         *_old_expanded_labels(["heavy", "light", "near", "far"], [(0, 2), (1, 9)], [2, 3])),
+        (lambda: gen_tight_pair_triangle(3, 7),
+         *_old_expanded_labels(["apex", "f_small", "f_large"], [(0, 3), (2, 4)], [1, 2])),
+    ]
+    for k, n in [(10, 60), (10, 2500)]:  # with and without the cross matrix
+        cases.append((lambda k=k, n=n: gen_tight_triple(k, n), *_old_expanded_labels(
+            _TRIPLE_LOCATIONS, [(0, 1), (1, k - 1), (2, n - k)], [3, 4, 5])))
+    for cids, fids in graph_cases:
+        cases.append((lambda c=cids, f=fids: build_from_graph(vertices, edges, c, f),
+                      *_old_graph_labels(vertices, cids, fids)))
+    cases += [
+        (lambda: build_from_points([[0.0], [1.0], [3.0]], [[2.0], [5.0]]),
+         *_old_default_labels(3, 2)),
+        (lambda: gen_random_euclidean(7, 4, seed=3), *_old_default_labels(7, 4)),
+        (lambda: build_from_matrix([[1.0, 2.0], [3.0, 4.0]]), *_old_default_labels(2, 2)),
+        (lambda: build_from_matrix([[1.0], [2.0]], client_labels=[7, "b"]), ("7", "b"), ("f0",)),
+        (lambda: load_instance(csv_path), _old_default_labels(3, 2)[0], ("fA", "fB")),
+    ]
+    return cases
+
+
+class TestLabels:
+    """Labels against test-local copies of the expressions that used to
+    build them eagerly."""
+
+    def test_matches_eager_labels(self, tmp_path):
+        for build, clients, facilities in _label_cases(tmp_path):
+            # single labels first, on an instance whose tuples were never read
+            inst = build()
+            n = inst.n_clients
+            assert [inst.point_label(i) for i in range(n + inst.m_facilities)] == list(
+                clients + facilities)
+            assert inst.point_label(np.intp(n - 1)) == clients[-1]
+            assert type(inst.client_labels) is tuple and inst.client_labels == clients
+            assert type(inst.facility_labels) is tuple and inst.facility_labels == facilities
+            doc = instance_to_dict(build())
+            assert doc["clients"] == list(clients)
+            assert doc["facilities"] == list(facilities)
+
+    def test_label_tuple_built_once(self):
+        inst = gen_tight_triple(10, 60)
+        assert inst.client_labels is inst.client_labels
+
+    def test_point_label_out_of_range(self):
+        inst = gen_tight_triple(10, 60)
+        with pytest.raises(IndexError):
+            inst.point_label(63)
