@@ -1,13 +1,12 @@
 """Instance generators: worst-case families and random instances.
 
 The worst-case families place many clients on a handful of locations,
-so they are built from a small location-level metric and expanded by
-repeating rows. The expanded cross matrix is only materialized while
-it stays reasonably small; the location-level metric is checked either
-way, and repeating points cannot break the triangle inequality. Client
-labels (c<i>@<location>) are kept as a rule over the row-to-location
-index and formatted only when read, so an instance of 10**6 clients
-holds no label strings until something names a client.
+so an instance holds the small location-level metric as its cross
+matrix, plus the location of every client and facility; dist is
+derived from the two. Client labels (c<i>@<location>) are kept as a
+rule over the client locations and formatted only when read, so an
+instance of 10**6 clients holds no label strings until something
+names a client.
 """
 
 import math
@@ -20,10 +19,6 @@ from .bounds import pair_bound_f
 from .errors import BadKN, BadParams, RatioTooLarge, RatioTooSmall
 from .metric import MetricInstance, _Labels, build_from_graph, build_from_points
 
-# above this many total points the expanded cross matrix is omitted
-# (it would be quadratic in the client count); dist is always present
-CROSS_POINT_LIMIT = 2000
-
 _SQRT5 = math.sqrt(5.0)
 
 
@@ -34,31 +29,19 @@ def _expand_locations(
     facility_locs,
     provenance,
 ) -> MetricInstance:
-    """Blow a location-level metric up to per-client rows.
+    """An instance over a location-level metric.
 
     client_placement is a list of (location index, count); facility_locs
-    a list of location indices. Row repetition preserves the metric, so
-    the expanded instance is as verified as the location metric is.
-    Client i is labelled "c<i>@<its location's label>", made on demand
-    from the row-to-location index; facilities take their location's
-    label.
+    a list of location indices. Client i is labelled "c<i>@<its
+    location's label>", made on demand from the client locations;
+    facilities take their location's label.
     """
-    loc_cross = np.asarray(loc_cross, dtype=float)
-    counts = [c for _, c in client_placement]
-    cidx = np.repeat([loc for loc, _ in client_placement], counts)
-    fidx = np.asarray(facility_locs)
-    n = int(cidx.shape[0])
-    m = int(fidx.shape[0])
-    dist = loc_cross[np.ix_(cidx, fidx)]
-    cross = None
-    if n + m <= CROSS_POINT_LIMIT:
-        sel = np.concatenate([cidx, fidx])
-        cross = loc_cross[np.ix_(sel, sel)]
+    cidx = np.repeat([loc for loc, _ in client_placement], [c for _, c in client_placement])
     return MetricInstance(
-        dist=dist,
-        cross=cross,
-        client_labels=_Labels("c%d@%s", n, names=loc_labels, index=cidx),
-        facility_labels=[loc_labels[loc] for loc in fidx],
+        cross=loc_cross,
+        locations=(cidx, facility_locs),
+        client_labels=_Labels("c%d@%s", cidx.size, names=loc_labels, index=cidx),
+        facility_labels=[loc_labels[loc] for loc in facility_locs],
         provenance=provenance,
     )
 

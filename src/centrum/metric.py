@@ -1,11 +1,11 @@
 """Instances: clients, facilities, and the distances between them.
 
 An instance always carries the client-facility distance matrix. It may
-additionally carry the full symmetric matrix over clients and
-facilities together (``cross``), which is what triangle-inequality
-checks need. Instances built from point clouds or graph shortest paths
-get the cross matrix for free; instances built from a bare matrix only
-get one if the caller supplies it.
+additionally carry a symmetric metric (``cross``) over its points or
+over its distinct locations, which is what triangle-inequality checks
+need. Instances built from point clouds, graph shortest paths or the
+tight generators get the cross matrix for free; instances built from a
+bare matrix only get one if the caller supplies it.
 """
 
 import csv
@@ -56,6 +56,26 @@ def _as_float_matrix(values, what: str) -> np.ndarray:
     if arr.ndim != 2:
         raise BadParams("%s must be a 2-d matrix, got ndim=%d" % (what, arr.ndim))
     return arr
+
+
+def _as_locations(locations, size: int) -> tuple:
+    """(client_locs, facility_locs) as read-only arrays of cross rows."""
+    try:
+        rows = tuple(np.asarray(v) for v in locations)
+    except (TypeError, ValueError) as exc:
+        raise BadParams("locations must be two lists of cross rows: %s" % exc) from None
+    if len(rows) != 2 or any(r.ndim != 1 or r.size == 0 or r.dtype.kind not in "iu" for r in rows):
+        raise BadParams("locations must be two non-empty lists of integer cross rows")
+    rows = tuple(r.astype(np.intp, copy=False) for r in rows)
+    used = np.zeros(size, dtype=bool)
+    for r in rows:
+        if r.min() < 0 or r.max() >= size:
+            raise BadParams("location rows must lie in [0, %d)" % size)
+        used[r] = True
+        r.setflags(write=False)
+    if not used.all():
+        raise BadParams("row %d of cross holds no client or facility" % np.argmin(used))
+    return rows
 
 
 def _check_entries(arr: np.ndarray, what: str) -> None:
@@ -135,8 +155,9 @@ class MetricInstance:
     """Immutable problem instance.
 
     dist has shape (n_clients, m_facilities). cross, when present, has
-    shape (n+m, n+m) and is ordered clients first, then facilities; its
-    upper-right block must equal dist.
+    shape (n+m, n+m), clients first, and dist as its upper-right block;
+    or it is the metric over L distinct locations, locations = (client_locs,
+    facility_locs) gives each point's row, and dist = cross[np.ix_(*locations)].
 
     client_labels and facility_labels read as tuples of str. Labels
     given by the caller are stored that way; labels the package makes
@@ -144,31 +165,31 @@ class MetricInstance:
     point_label formats a single one.
     """
 
-    dist: np.ndarray
+    dist: np.ndarray | None = None
     cross: np.ndarray | None = None
     client_labels: tuple = _LabelField()
     facility_labels: tuple = _LabelField()
     provenance: dict = field(default_factory=dict)
+    locations: tuple | None = None
     # validate_metric's result per tol, so each instance is checked once
     _violations: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        dist = _as_float_matrix(self.dist, "dist")
-        if dist.shape[0] < 1 or dist.shape[1] < 1:
-            raise BadParams("instance needs at least one client and one facility")
-        _check_entries(dist, "dist")
-        dist.setflags(write=False)
-        object.__setattr__(self, "dist", dist)
-        n, m = dist.shape
-        object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
-        object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
-        if len(self._client_labels) != n or len(self._facility_labels) != m:
-            raise BadParams("label counts do not match matrix shape")
+        located = self.locations is not None
+        if located and (self.cross is None or self.dist is not None):
+            raise BadParams("locations need a cross matrix and no dist, which they derive")
+        if not located:
+            dist = _as_float_matrix(self.dist, "dist")
+            if dist.shape[0] < 1 or dist.shape[1] < 1:
+                raise BadParams("instance needs at least one client and one facility")
+            _check_entries(dist, "dist")
+            n, m = dist.shape
         if self.cross is not None:
             cross = _as_float_matrix(self.cross, "cross")
-            if cross.shape != (n + m, n + m):
+            size = len(cross) if located else n + m
+            if cross.shape != (size, size):
                 raise DimensionMismatch(
-                    "cross must be (%d, %d), got %r" % (n + m, n + m, cross.shape)
+                    "cross must be (%d, %d), got %r" % (size, size, cross.shape)
                 )
             _check_entries(cross, "cross")
             if not np.array_equal(cross, cross.T):
@@ -179,10 +200,20 @@ class MetricInstance:
             if np.any(np.diag(cross) != 0):
                 i = int(np.argwhere(np.diag(cross) != 0)[0][0])
                 raise NonzeroDiagonal("cross[%d][%d] = %g" % (i, i, cross[i, i]))
-            if not np.allclose(cross[:n, n:], dist, rtol=1e-12, atol=1e-12):
+            if not located and not np.allclose(cross[:n, n:], dist, rtol=1e-12, atol=1e-12):
                 raise CrossMismatch("cross client-facility block disagrees with dist")
             cross.setflags(write=False)
             object.__setattr__(self, "cross", cross)
+        if located:
+            object.__setattr__(self, "locations", _as_locations(self.locations, size))
+            dist = cross[np.ix_(*self.locations)]
+            n, m = dist.shape
+        dist.setflags(write=False)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
+        object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
+        if len(self._client_labels) != n or len(self._facility_labels) != m:
+            raise BadParams("label counts do not match matrix shape")
 
     @property
     def n_clients(self) -> int:
@@ -204,7 +235,7 @@ class MetricInstance:
         return list(self._violations[tol])
 
     def point_label(self, index: int) -> str:
-        """Label for a cross-matrix index (clients first, then facilities)."""
+        """Label for a point index (clients first, then facilities)."""
         n = self.n_clients
         if index < n:
             return self._client_labels[index]
@@ -284,6 +315,10 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     if not found:
         return []
     y, x, z, slack = (np.concatenate(parts) for parts in zip(*found))
+    if y.size and instance.locations is not None:
+        # a location is named by its first client, else its first facility
+        point = np.unique(np.concatenate(instance.locations), return_index=True)[1]
+        y, x, z = point[y], point[x], point[z]
     label = instance.point_label
     return [
         Violation("triangle", (label(x[i]), label(y[i]), label(z[i])), float(slack[i]))
@@ -298,19 +333,21 @@ def build_from_matrix(
     facility_labels=None,
     provenance=None,
     tol: float = 1e-9,
+    locations=None,
 ) -> MetricInstance:
-    """Instance from an explicit client-facility matrix.
+    """Instance from an explicit client-facility matrix (or cross and locations).
 
     Without cross distances the instance is usable but marked
     metric-unverified. With them, the full metric axioms are checked
     here and the first triangle violation raises.
     """
     inst = MetricInstance(
-        dist=_as_float_matrix(dist, "dist"),
-        cross=None if cross is None else _as_float_matrix(cross, "cross"),
+        dist=dist,
+        cross=cross,
         client_labels=tuple(client_labels) if client_labels else (),
         facility_labels=tuple(facility_labels) if facility_labels else (),
         provenance=dict(provenance or {}),
+        locations=locations,
     )
     violations = inst.violations(tol) if inst.cross is not None else []
     if violations:
@@ -405,17 +442,15 @@ def build_from_graph(
         fidx = [index[f] for f in facility_ids]
     except KeyError as exc:
         raise BadParams("unknown vertex id %r" % (exc.args[0],)) from exc
-    sp = shortest_path(csr_matrix(adj), method="D", directed=False)
-    referenced = sorted(set(cidx) | set(fidx))
-    block = sp[np.ix_(referenced, referenced)]
-    if not np.all(np.isfinite(block)):
+    referenced, rows = np.unique(cidx + fidx, return_inverse=True)
+    cross = shortest_path(csr_matrix(adj), method="D", directed=False, indices=referenced)
+    cross = cross[:, referenced]
+    if not np.all(np.isfinite(cross)):
         raise DisconnectedGraph("some referenced vertices are not connected")
-    sel = np.array(cidx + fidx)
-    cross = sp[np.ix_(sel, sel)]
     n = len(cidx)
     return MetricInstance(
-        dist=cross[:n, n:].copy(),
         cross=cross,
+        locations=(rows[:n], rows[n:]),
         client_labels=_vertex_labels(client_ids, cidx, "c%d:%s"),
         facility_labels=_vertex_labels(facility_ids, fidx, "f%d:%s"),
         provenance=dict(provenance or {}),
@@ -438,6 +473,9 @@ def instance_to_dict(instance: MetricInstance) -> dict:
     }
     if instance.cross is not None:
         out["cross"] = instance.cross
+    if instance.locations is not None:
+        del out["dist"]  # derived from cross and locations
+        out["locations"] = list(instance.locations)
     if instance.provenance:
         out["provenance"] = instance.provenance
     return out
@@ -447,9 +485,9 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
     """Build an instance from parsed JSON.
 
     Accepts three shapes: an explicit matrix ({"dist": ..., optional
-    "cross"}), a point cloud ({"client_points", "facility_points",
-    optional "norm"}), or a graph ({"vertices", "edges", "clients",
-    "facilities"}).
+    "cross"}, or {"cross", "locations"}), a point cloud ({"client_points",
+    "facility_points", optional "norm"}), or a graph ({"vertices",
+    "edges", "clients", "facilities"}).
     """
     if not isinstance(data, dict):
         raise BadParams("instance document must be a JSON object")
@@ -457,14 +495,15 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
     client_labels = data.get("clients") or labels.get("clients")
     facility_labels = data.get("facilities") or labels.get("facilities")
     provenance = data.get("provenance")
-    if "dist" in data:
+    if "dist" in data or "locations" in data:
         return build_from_matrix(
-            data["dist"],
+            data.get("dist"),
             cross=data.get("cross"),
             client_labels=client_labels,
             facility_labels=facility_labels,
             provenance=provenance,
             tol=tol,
+            locations=data.get("locations"),
         )
     if "client_points" in data or "facility_points" in data:
         try:
@@ -492,7 +531,7 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
             provenance=provenance,
         )
     raise BadParams(
-        "instance document needs dist, client_points/facility_points, or vertices"
+        "instance document needs dist, locations, client_points/facility_points, or vertices"
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from centrum import (
+    MetricInstance,
     build_from_graph,
     build_from_matrix,
     build_from_points,
@@ -98,6 +99,20 @@ def graph_instances(draw):
 
 def metric_instances():
     return st.one_of(point_instances(), graph_instances())
+
+
+def expanded(inst):
+    """inst with one cross row per point, clients first, then
+    facilities: a located instance's location rows repeated per point."""
+    if inst.locations is None:
+        return inst
+    rows = np.concatenate(inst.locations)
+    return MetricInstance(
+        dist=inst.dist,
+        cross=inst.cross[np.ix_(rows, rows)],
+        client_labels=inst.client_labels,
+        facility_labels=inst.facility_labels,
+    )
 
 
 def draw_pair(data, n: int):

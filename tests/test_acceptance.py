@@ -140,7 +140,8 @@ def test_criterion_5_large_triple_near_tightness():
     # opt_one's gap is ~8.47/(n/k). A 1e-3 gap on all three at once needs
     # k >= 8469 and n/k >= 8469, i.e. n >= ~7.2e7 clients, far past this
     # budget. So each 10**6-client instance checks the limit it reaches:
-    # large k for opt_mid and opt_all, large n/k for opt_one.
+    # large k for opt_mid and opt_all, large n/k for opt_one. Every
+    # inequality check, the metric ones included, runs on both.
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     gold = (1.0 + math.sqrt(5.0)) / 2.0
     psi = (3.0 - math.sqrt(5.0)) / 2.0
@@ -172,6 +173,10 @@ def test_criterion_5_large_triple_near_tightness():
 
         gaps = {label: BETA3 - worst[label] for label in near_limit}
         assert all(abs(g) <= 1e-3 for g in gaps.values()), (k, n, gaps)
+
+        report = check_inequalities(inst, (1, k, n))
+        assert len(report.checks) == 11, sorted(report.checks)
+        assert report.violations_total == 0, (k, n, report.summary())
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
 

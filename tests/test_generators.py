@@ -118,9 +118,10 @@ class TestTightTriple:
         assert small.max_outgoing(1) <= big.max_outgoing(1) + 1e-12
         assert big.max_outgoing(1) <= BETA3 + 1e-12
 
-    def test_large_instance_omits_cross_block(self):
+    def test_large_instance_holds_the_location_metric(self):
         inst = gen_tight_triple(100, 5000)
-        assert inst.cross is None
+        assert inst.cross.shape == (6, 6)
+        assert inst.metric_verified
         assert inst.n_clients == 5000
 
     def test_client_multiplicities(self, triple_small):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,16 +14,20 @@ from centrum import (
     build_from_graph,
     build_from_matrix,
     build_from_points,
+    check_inequalities,
     gen_random_euclidean,
+    gen_random_graph_metric,
     gen_tight_pair_line,
     gen_tight_pair_triangle,
     gen_tight_triple,
     instance_from_dict,
     instance_to_dict,
+    jsonutil,
     load_instance,
     save_instance,
     validate_metric,
 )
+from centrum.cli import run
 from centrum.errors import (
     AsymmetricCross,
     BadParams,
@@ -37,7 +42,7 @@ from centrum.errors import (
     TriangleViolation,
 )
 
-from conftest import graph_instances, metric_instances, point_instances
+from conftest import expanded, graph_instances, metric_instances, point_instances
 
 
 def loop_validate(instance, tol=1e-9):
@@ -103,7 +108,7 @@ def base_metrics():
 def near_metrics(draw):
     """A metric with a few distances moved to within ulps of the
     tolerance boundary of one of their triangles, either side of it."""
-    base = draw(base_metrics())
+    base = expanded(draw(base_metrics()))
     tol = draw(_TOLS)
     cross = base.cross.copy()
     size = cross.shape[0]
@@ -261,7 +266,7 @@ class TestBuildFromGraph:
         assert inst.dist[0, 0] == 1.0
         assert inst.dist[1, 0] == 1.0
         # shortest path a-c goes through b
-        assert inst.cross[0, 1] == 2.0
+        assert expanded(inst).cross[0, 1] == 2.0
 
     def test_single_vertex(self):
         inst = build_from_graph(["v"], [], ["v"], ["v"])
@@ -354,6 +359,24 @@ class TestBuildFromGraph:
     def test_always_a_metric(self, inst):
         assert validate_metric(inst) == []
 
+    def test_many_clients_on_few_vertices(self):
+        # one cross row per referenced vertex, not per client: the
+        # per-point layout made a 16,050-row matrix (2.0 GB) here
+        vertices = list(range(50))
+        edges = [(v, v + 1, 1.0 + v / 64) for v in range(49)]
+        clients = [i % 50 for i in range(16_000)]
+        tracemalloc.start()
+        try:
+            inst = build_from_graph(vertices, edges, clients, vertices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.cross.shape == (50, 50)
+        assert inst.dist.shape == (16_000, 50)
+        assert np.array_equal(inst.dist[:50], inst.cross)
+        assert np.array_equal(inst.dist[50:], inst.dist[:-50])
+        assert peak < 20_000_000
+
 
 class TestValidateMetric:
     def test_equilateral_passes(self):
@@ -428,7 +451,7 @@ class TestValidateMetricOracle:
         assert records(validate_metric(inst)) == expected
 
     def test_negative_tol_checks_every_triangle(self):
-        inst = gen_tight_pair_triangle(2, 5)
+        inst = expanded(gen_tight_pair_triangle(2, 5))
         expected = [r for r in loop_validate(inst, -0.5) if r[0] == "triangle"]
         assert expected
         assert records(validate_metric(inst, tol=-0.5)) == expected
@@ -457,10 +480,10 @@ class TestZeroDistances:
         assert records(validate_metric(moved)) == expected
 
     def test_repeated_graph_vertices(self):
-        inst = build_from_graph(
+        inst = expanded(build_from_graph(
             ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)],
             ["a", "a", "c"], ["b", "c"],
-        )
+        ))
         assert inst.cross[0, 1] == 0.0
         cross = inst.cross.copy()
         cross[0, 4] = cross[4, 0] = 3.5  # a -> c, while its twin is 3 away
@@ -573,6 +596,180 @@ class TestSerialization:
         assert np.array_equal(again.cross, inst.cross)
 
 
+def _reloaded(inst, tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    return load_instance(path)
+
+
+class TestLocationsFile:
+    """Files of located instances: cross and locations, no dist."""
+
+    FAMILIES = {
+        "line": lambda: gen_tight_pair_line(2, 11),
+        "triangle": lambda: gen_tight_pair_triangle(3, 7),
+        "triple": lambda: gen_tight_triple(10, 60),
+        "triple_large": lambda: gen_tight_triple(30, 3000),
+        "euclid": lambda: gen_random_euclidean(9, 4, seed=3),
+        "shared": lambda: gen_random_euclidean(6, None, seed=5, shared=True),
+        "graph": lambda: gen_random_graph_metric(12, 0.3, seed=4, n_clients=20, m_facilities=6),
+        "graph_all": lambda: gen_random_graph_metric(10, 0.5, seed=2),
+        "graph_repeats": lambda: build_from_graph(*_GRAPH, [0, 2, 0, "x", 2, 0], [1, "x", 1]),
+        "matrix": lambda: build_from_matrix([[1.0], [2.0]], cross=[
+            [0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_round_trip(self, family, tmp_path):
+        inst = self.FAMILIES[family]()
+        again = _reloaded(inst, tmp_path)
+        assert again.dist.tobytes() == inst.dist.tobytes()
+        assert again.cross.tobytes() == inst.cross.tobytes()
+        if inst.locations is None:
+            assert again.locations is None
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(again.locations, inst.locations))
+        assert again.client_labels == inst.client_labels
+        assert again.facility_labels == inst.facility_labels
+
+    def test_located_file_has_no_dist(self):
+        doc = instance_to_dict(gen_tight_triple(3, 12))
+        assert list(doc) == ["schema", "clients", "facilities", "cross", "locations",
+                             "provenance"]
+        assert doc["cross"].shape == (6, 6)
+        assert [v.tolist() for v in doc["locations"]] == [[0, 1, 1] + [2] * 9, [3, 4, 5]]
+
+    @staticmethod
+    def _triple_doc():
+        doc = instance_to_dict(gen_tight_triple(3, 12))
+        return json.loads(jsonutil.dumps(doc))
+
+    def _broken_docs(self):
+        def edit(change):
+            doc = self._triple_doc()
+            change(doc)
+            return doc
+
+        def no_cross(doc):
+            del doc["cross"]
+
+        def with_dist(doc):
+            doc["dist"] = gen_tight_triple(3, 12).dist.tolist()
+
+        def set_row(side, value):
+            return lambda doc: doc["locations"][side].__setitem__(0, value)
+
+        return {
+            "no cross": edit(no_cross),
+            "dist and locations": edit(with_dist),
+            "float row": edit(set_row(0, 1.5)),
+            "string row": edit(set_row(1, "opt_one")),
+            "bool row": edit(lambda doc: doc["locations"].__setitem__(1, [True, False, True])),
+            "empty clients": edit(lambda doc: doc["locations"].__setitem__(0, [])),
+            "empty facilities": edit(lambda doc: doc["locations"].__setitem__(1, [])),
+            "one side": edit(lambda doc: doc["locations"].pop()),
+            "nested rows": edit(lambda doc: doc["locations"].__setitem__(1, [[3, 4, 5]])),
+            "row too large": edit(set_row(1, 6)),
+            "negative row": edit(set_row(0, -1)),
+            # client 0 is the only point on location a, row 0
+            "unused row": edit(set_row(0, 1)),
+        }
+
+    def test_broken_documents_rejected(self):
+        for what, doc in self._broken_docs().items():
+            with pytest.raises(BadParams):
+                instance_from_dict(doc)
+                pytest.fail(what)
+
+    def test_broken_files_exit_2(self, tmp_path, capsys):
+        for i, doc in enumerate(self._broken_docs().values()):
+            path = tmp_path / ("broken%d.json" % i)
+            path.write_text(json.dumps(doc))
+            assert run(["solve", str(path), "--objectives", "1,3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_constructor_checks(self):
+        cross = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(BadParams):
+            MetricInstance(locations=([0], [1]))
+        with pytest.raises(BadParams):
+            MetricInstance(dist=np.ones((1, 1)), cross=cross, locations=([0], [1]))
+        with pytest.raises(DimensionMismatch):
+            MetricInstance(cross=np.zeros((2, 3)), locations=([0], [1]))
+        with pytest.raises(AsymmetricCross):
+            MetricInstance(cross=[[0.0, 1.0], [2.0, 0.0]], locations=([0], [1]))
+        inst = MetricInstance(cross=cross, locations=([0, 0, 1], [1]))
+        assert inst.dist.tolist() == [[1.0], [1.0], [0.0]]
+        assert not inst.dist.flags.writeable
+        assert not inst.locations[0].flags.writeable
+
+
+class TestLocatedLayout:
+    """A located instance against its expanded twin, which repeats each
+    location's row once per point as the per-point layout did."""
+
+    CASES = [
+        (lambda: gen_tight_pair_line(2, 11), (2, 11)),
+        (lambda: gen_tight_pair_line(5, 600), (1, 5, 600)),
+        (lambda: gen_tight_pair_triangle(3, 7), (3, 7)),
+        (lambda: gen_tight_pair_triangle(150, 598), (150, 598)),
+        (lambda: gen_tight_triple(2, 5), (1, 2, 5)),
+        (lambda: gen_tight_triple(10, 60), (1, 10, 60)),
+        (lambda: gen_tight_triple(20, 597), (1, 20, 597)),
+        (lambda: build_from_graph(*_GRAPH, [0, 2, 0, "x", 2, 0], [1, "x", 1]), (1, 3, 6)),
+        (lambda: build_from_graph(*_GRAPH, [0, 2, "x"], [1, 1, 0]), (1, 2, 3)),
+        (lambda: gen_random_graph_metric(12, 0.3, seed=4, n_clients=20, m_facilities=6),
+         (1, 5, 20)),
+        (lambda: gen_random_graph_metric(10, 0.5, seed=2), (1, 4, 10)),
+        (lambda: gen_random_graph_metric(8, 0.2, seed=9, n_clients=40, m_facilities=10),
+         (1, 2, 13, 40)),
+        (lambda: gen_random_graph_metric(30, 0.1, seed=11, n_clients=60, m_facilities=12),
+         (2, 7, 30, 59)),
+    ]
+
+    @staticmethod
+    def assert_same_checks(inst, objectives):
+        assert inst.locations is not None
+        twin = expanded(inst)
+        assert twin.cross[: inst.n_clients, inst.n_clients:].tobytes() == inst.dist.tobytes()
+        for tol in (1e-9, 0.0):
+            located = validate_metric(inst, tol=tol)
+            full = validate_metric(twin, tol=tol)
+            assert bool(located) == bool(full), tol
+            ours = check_inequalities(inst, objectives, tol=tol).checks
+            theirs = check_inequalities(twin, objectives, tol=tol).checks
+            assert list(ours) == list(theirs)
+            for name, rec in ours.items():
+                if name == "metric_axioms" and located:
+                    # one record per violated location triple against
+                    # one per violated point triple
+                    assert rec.violation_count and theirs[name].violation_count
+                    continue
+                assert jsonutil.dumps(rec.to_jsonable()) == jsonutil.dumps(
+                    theirs[name].to_jsonable()), (tol, name)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_families(self, case):
+        build, objectives = self.CASES[case]
+        self.assert_same_checks(build(), objectives)
+
+    @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
+    @given(st.one_of(graph_instances(), tight_instances()), st.data())
+    def test_random_graphs_and_tight_families(self, inst, data):
+        n = inst.n_clients
+        ranks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=5, unique=True))
+        self.assert_same_checks(inst, tuple(sorted(ranks)))
+
+    def test_violation_names_first_point_on_each_location(self):
+        # locations 0 and 2 are 3 apart, but 1 + 1 through location 1
+        cross = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        inst = MetricInstance(cross=cross, locations=([1, 0, 0], [2, 1]))
+        assert records(validate_metric(inst)) == [("triangle", ("c1", "c0", "f0"), 1.0)]
+        assert records(validate_metric(expanded(inst)))[0] == ("triangle", ("c1", "c0", "f0"), 1.0)
+        with pytest.raises(TriangleViolation):
+            build_from_matrix(None, cross=cross, locations=([1, 0, 0], [2, 1]))
+
+
 def _old_expanded_labels(loc_labels, placement, facility_locs):
     """The labels _expand_locations used to store, one string per client."""
     cidx = np.repeat([loc for loc, _ in placement], [c for _, c in placement])
@@ -617,7 +814,7 @@ def _label_cases(tmp_path):
         (lambda: gen_tight_pair_triangle(3, 7),
          *_old_expanded_labels(["apex", "f_small", "f_large"], [(0, 3), (2, 4)], [1, 2])),
     ]
-    for k, n in [(10, 60), (10, 2500)]:  # with and without the cross matrix
+    for k, n in [(10, 60), (10, 2500)]:
         cases.append((lambda k=k, n=n: gen_tight_triple(k, n), *_old_expanded_labels(
             _TRIPLE_LOCATIONS, [(0, 1), (1, k - 1), (2, n - k)], [3, 4, 5])))
     for cids, fids in graph_cases:
