@@ -12,8 +12,6 @@ names a client.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .bounds import pair_bound_f
 from .errors import BadKN, BadParams, RatioTooLarge, RatioTooSmall
@@ -149,6 +147,9 @@ _TRIPLE_EDGES = [
 def triple_location_metric() -> tuple:
     """(labels, cross) for the six locations of the three-objective
     worst case, distances taken as shortest paths over its edge list."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     index = {v: i for i, v in enumerate(_TRIPLE_VERTICES)}
     size = len(_TRIPLE_VERTICES)
     adj = np.zeros((size, size))

@@ -5,7 +5,12 @@ additionally carry a symmetric metric (``cross``) over its points or
 over its distinct locations, which is what triangle-inequality checks
 need. Instances built from point clouds, graph shortest paths or the
 tight generators get the cross matrix for free; instances built from a
-bare matrix only get one if the caller supplies it.
+bare matrix only get one if the caller supplies it. A point-cloud
+instance keeps its coordinates and norm, derives both matrices from
+them, and is saved as those coordinates.
+
+scipy is imported by the functions that need it, so importing this
+module (and the command line) does not load it.
 """
 
 import csv
@@ -14,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-from scipy.spatial.distance import cdist
 
 from .errors import (
     AsymmetricCross,
@@ -76,6 +78,34 @@ def _as_locations(locations, size: int) -> tuple:
     if not used.all():
         raise BadParams("row %d of cross holds no client or facility" % np.argmin(used))
     return rows
+
+
+def _as_points(points) -> tuple:
+    """(client_points, facility_points, norm) as two read-only 2-d
+    coordinate arrays and a norm of 1, 2 or math.inf."""
+    try:
+        cpts, fpts, norm = points
+        cpts, fpts = (np.array(p, dtype=float) for p in (cpts, fpts))
+        norm = math.inf if norm == "inf" else norm
+        known = norm in _NORM_NAMES
+    except (TypeError, ValueError) as exc:
+        raise BadParams("points must be (client_points, facility_points, norm): %s" % exc) from None
+    # a flat vector is n points on the line, not one n-dimensional point
+    cpts, fpts = (p[:, None] if p.ndim == 1 else p for p in (cpts, fpts))
+    if cpts.ndim != 2 or fpts.ndim != 2:
+        raise BadParams("points must be vectors or matrices of coordinates")
+    if cpts.shape[1] != fpts.shape[1]:
+        raise DimensionMismatch(
+            "client points have dim %d, facility points dim %d"
+            % (cpts.shape[1], fpts.shape[1])
+        )
+    if not (np.all(np.isfinite(cpts)) and np.all(np.isfinite(fpts))):
+        raise NonFinite("point coordinates must be finite")
+    if not known:
+        raise BadParams("norm must be 1, 2, or inf, got %r" % (norm,))
+    cpts.setflags(write=False)
+    fpts.setflags(write=False)
+    return cpts, fpts, norm if norm == math.inf else int(norm)
 
 
 def _check_entries(arr: np.ndarray, what: str) -> None:
@@ -158,6 +188,11 @@ class MetricInstance:
     shape (n+m, n+m), clients first, and dist as its upper-right block;
     or it is the metric over L distinct locations, locations = (client_locs,
     facility_locs) gives each point's row, and dist = cross[np.ix_(*locations)].
+    With points = (client_points, facility_points, norm), norm 1, 2 or
+    inf, both cross and dist are derived from the coordinates.
+
+    A dist (or cross) given with locations (or points) must be bit-equal
+    to the derived one, so dataclasses.replace works on every instance.
 
     client_labels and facility_labels read as tuples of str. Labels
     given by the caller are stored that way; labels the package makes
@@ -171,14 +206,35 @@ class MetricInstance:
     facility_labels: tuple = _LabelField()
     provenance: dict = field(default_factory=dict)
     locations: tuple | None = None
+    points: tuple | None = None
     # validate_metric's result per tol, so each instance is checked once
     _violations: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        given = {}  # derived fields the caller passed too, to match
+        if self.points is not None:
+            if self.locations is not None:
+                raise BadParams("an instance takes points or locations, not both")
+            from scipy.spatial.distance import cdist
+
+            points = _as_points(self.points)
+            everything = np.vstack(points[:2])
+            cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
+            # cdist output can be asymmetric in the last ulp; symmetrize
+            # here so that dist matches cross exactly
+            cross = (cross + cross.T) / 2.0
+            np.fill_diagonal(cross, 0.0)
+            n = len(points[0])
+            given = {"dist": self.dist, "cross": self.cross}
+            object.__setattr__(self, "points", points)
+            object.__setattr__(self, "cross", cross)
+            object.__setattr__(self, "dist", cross[:n, n:].copy())
         located = self.locations is not None
-        if located and (self.cross is None or self.dist is not None):
-            raise BadParams("locations need a cross matrix and no dist, which they derive")
-        if not located:
+        if located:
+            if self.cross is None:
+                raise BadParams("locations need a cross matrix")
+            given = {"dist": self.dist}
+        else:
             dist = _as_float_matrix(self.dist, "dist")
             if dist.shape[0] < 1 or dist.shape[1] < 1:
                 raise BadParams("instance needs at least one client and one facility")
@@ -214,6 +270,12 @@ class MetricInstance:
         object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
         if len(self._client_labels) != n or len(self._facility_labels) != m:
             raise BadParams("label counts do not match matrix shape")
+        for name, value in given.items():
+            if value is not None:
+                value = _as_float_matrix(value, name)
+                ours = getattr(self, name)
+                if value.shape != ours.shape or value.tobytes() != ours.tobytes():
+                    raise BadParams("%s differs from the one derived from points or locations" % name)
 
     @property
     def n_clients(self) -> int:
@@ -288,6 +350,8 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     cross = instance.cross
     size = cross.shape[0]
     if tol >= 0:
+        from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
+
         closure = shortest_path(
             csgraph_from_dense(cross, null_value=np.inf), method="FW", directed=False
         )
@@ -366,38 +430,11 @@ def build_from_points(
 ) -> MetricInstance:
     """Instance from coordinates under an L1, L2, or Linf norm.
 
-    The cross matrix is filled in from the same norm, so the result is
-    metric-verified by construction.
+    The instance keeps the points and derives cross and dist from them
+    with the same norm, so it is metric-verified by construction.
     """
-    cpts = np.asarray(client_points, dtype=float)
-    fpts = np.asarray(facility_points, dtype=float)
-    # a flat vector is n points on the line, not one n-dimensional point
-    if cpts.ndim == 1:
-        cpts = cpts[:, None]
-    if fpts.ndim == 1:
-        fpts = fpts[:, None]
-    if cpts.ndim != 2 or fpts.ndim != 2:
-        raise BadParams("points must be vectors or matrices of coordinates")
-    if cpts.shape[1] != fpts.shape[1]:
-        raise DimensionMismatch(
-            "client points have dim %d, facility points dim %d"
-            % (cpts.shape[1], fpts.shape[1])
-        )
-    if not (np.all(np.isfinite(cpts)) and np.all(np.isfinite(fpts))):
-        raise NonFinite("point coordinates must be finite")
-    key = math.inf if norm in (math.inf, float("inf"), "inf") else norm
-    if key not in _NORM_NAMES:
-        raise BadParams("norm must be 1, 2, or inf, got %r" % (norm,))
-    everything = np.vstack([cpts, fpts])
-    cross = cdist(everything, everything, metric=_NORM_NAMES[key])
-    # cdist output can be asymmetric in the last ulp; the constructor
-    # symmetrizes, but do it here so dist matches cross exactly
-    cross = (cross + cross.T) / 2.0
-    np.fill_diagonal(cross, 0.0)
-    n = cpts.shape[0]
     return MetricInstance(
-        dist=cross[:n, n:].copy(),
-        cross=cross,
+        points=(client_points, facility_points, norm),
         client_labels=tuple(client_labels) if client_labels else (),
         facility_labels=tuple(facility_labels) if facility_labels else (),
         provenance=dict(provenance or {}),
@@ -442,6 +479,9 @@ def build_from_graph(
         fidx = [index[f] for f in facility_ids]
     except KeyError as exc:
         raise BadParams("unknown vertex id %r" % (exc.args[0],)) from exc
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     referenced, rows = np.unique(cidx + fidx, return_inverse=True)
     cross = shortest_path(csr_matrix(adj), method="D", directed=False, indices=referenced)
     cross = cross[:, referenced]
@@ -465,17 +505,26 @@ def _vertex_labels(ids, positions, fmt: str):
 
 
 def instance_to_dict(instance: MetricInstance) -> dict:
+    """The JSON document of an instance, holding what defines it: the
+    coordinates and norm ("inf" for Linf) of a point instance, cross and
+    locations of a located one, else dist and any cross."""
     out = {
         "schema": 1,
         "clients": list(instance.client_labels),
         "facilities": list(instance.facility_labels),
-        "dist": instance.dist,
     }
-    if instance.cross is not None:
+    if instance.points is not None:
+        cpts, fpts, norm = instance.points
+        out["client_points"] = cpts
+        out["facility_points"] = fpts
+        out["norm"] = "inf" if norm == math.inf else norm
+    elif instance.locations is not None:
         out["cross"] = instance.cross
-    if instance.locations is not None:
-        del out["dist"]  # derived from cross and locations
         out["locations"] = list(instance.locations)
+    else:
+        out["dist"] = instance.dist
+        if instance.cross is not None:
+            out["cross"] = instance.cross
     if instance.provenance:
         out["provenance"] = instance.provenance
     return out
@@ -495,6 +544,8 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
     client_labels = data.get("clients") or labels.get("clients")
     facility_labels = data.get("facilities") or labels.get("facilities")
     provenance = data.get("provenance")
+    if "dist" in data and "locations" in data:
+        raise BadParams("a document with locations derives dist and must not give it")
     if "dist" in data or "locations" in data:
         return build_from_matrix(
             data.get("dist"),
@@ -511,11 +562,8 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
             fpts = data["facility_points"]
         except KeyError as exc:
             raise BadParams("point-cloud instance needs %s" % exc.args[0]) from exc
-        norm = data.get("norm", 2)
-        if norm == "inf":
-            norm = math.inf
         return build_from_points(
-            cpts, fpts, norm=norm,
+            cpts, fpts, norm=data.get("norm", 2),
             client_labels=client_labels,
             facility_labels=facility_labels,
             provenance=provenance,

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import centrum
 from centrum import VerificationReport, gen_tight_triple, save_instance
 from centrum.cli import run
 from centrum.objectives import cost_profile
@@ -35,6 +38,22 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
+
+
+def test_import_and_bounds_load_no_scipy():
+    script = (
+        "import sys\n"
+        "import centrum.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded() == [], loaded()\n"
+        "assert centrum.cli.run(['bounds', '--beta', '3']) == 0\n"
+        "assert loaded() == [], loaded()\n"
+    )
+    src = os.path.dirname(os.path.dirname(centrum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("beta")
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 """Instance construction, validation, and serialization."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.sparse.csgraph import shortest_path
+from scipy.spatial.distance import cdist
 
 from centrum import (
     MetricInstance,
@@ -253,6 +255,116 @@ class TestBuildFromPoints:
     @given(point_instances())
     def test_always_a_metric(self, inst):
         assert validate_metric(inst) == []
+
+    @given(point_instances())
+    def test_matches_the_cdist_recipe(self, inst):
+        """The matrices the builder computed before instances kept their
+        points: cdist over all points, symmetrized, zero diagonal."""
+        cpts, fpts, norm = inst.points
+        everything = np.vstack([cpts, fpts])
+        metric = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}[norm]
+        cross = cdist(everything, everything, metric=metric)
+        cross = (cross + cross.T) / 2.0
+        np.fill_diagonal(cross, 0.0)
+        assert inst.cross.tobytes() == cross.tobytes()
+        assert inst.dist.tobytes() == cross[:len(cpts), len(cpts):].tobytes()
+        assert inst.metric_verified
+
+
+class TestPointsField:
+    """The points field and the guards of the constructor."""
+
+    def test_points_are_kept_read_only(self):
+        cpts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        inst = build_from_points(cpts, [[0.5, 3.0]], norm="inf")
+        stored_c, stored_f, norm = inst.points
+        assert norm == math.inf
+        assert stored_c.tolist() == cpts.tolist() and stored_f.tolist() == [[0.5, 3.0]]
+        assert not stored_c.flags.writeable and not stored_f.flags.writeable
+        assert cpts.flags.writeable  # the caller's array is copied, not frozen
+        assert inst.metric_verified and inst.locations is None
+
+    def test_norm_is_stored_as_1_2_or_inf(self):
+        for given_norm, stored in ((1, 1), (2.0, 2), (float("inf"), math.inf), ("inf", math.inf)):
+            norm = build_from_points([[0.0]], [[1.0]], norm=given_norm).points[2]
+            assert norm == stored and type(norm) is type(stored)
+
+    def test_constructor_derives_both_matrices(self):
+        inst = MetricInstance(points=([[0.0], [4.0]], [[1.0]], 1))
+        assert inst.dist.tolist() == [[1.0], [3.0]]
+        assert inst.cross.tolist() == [[0.0, 4.0, 1.0], [4.0, 0.0, 3.0], [1.0, 3.0, 0.0]]
+        assert inst.violations() == []
+
+    def test_points_with_other_matrices_rejected(self):
+        points = ([[0.0], [4.0]], [[1.0]], 2)
+        cross = MetricInstance(points=points).cross
+        for changes in (
+            {"dist": [[1.0], [3.5]]},
+            {"dist": [[1.0, 1.0], [3.0, 3.0]]},
+            {"cross": cross + 0.5 * (1 - np.eye(3))},
+            {"cross": cross[:2, :2]},
+            {"cross": cross, "locations": ([0, 1], [2])},
+        ):
+            with pytest.raises(BadParams):
+                MetricInstance(points=points, **changes)
+
+    def test_malformed_points_rejected(self):
+        for points in (
+            ([[0.0]], [[1.0]]),
+            ([[0.0]], [[1.0]], 2, "extra"),
+            "abc",
+            3,
+            ([["x"]], [[1.0]], 2),
+            ([[[0.0]]], [[1.0]], 2),
+        ):
+            with pytest.raises(BadParams):
+                MetricInstance(points=points)
+        with pytest.raises(DimensionMismatch):
+            MetricInstance(points=([[0.0, 0.0]], [[1.0]], 2))
+        with pytest.raises(NonFinite):
+            MetricInstance(points=([[float("inf")]], [[1.0]], 2))
+
+    def test_bad_norm_rejected(self):
+        for norm in (3, 0, -1, "two", "Inf", None, [2], float("nan")):
+            with pytest.raises(BadParams):
+                MetricInstance(points=([[0.0]], [[1.0]], norm))
+
+
+class TestReplace:
+    """dataclasses.replace hands the derived matrices back to the
+    constructor, which takes them when they are bit-equal."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_tight_triple(3, 12),
+        lambda: gen_tight_pair_line(2, 11),
+        lambda: gen_random_graph_metric(8, 0.4, seed=3, n_clients=10, m_facilities=4),
+        lambda: gen_random_euclidean(7, 3, seed=2),
+        lambda: gen_random_euclidean(5, None, dim=3, seed=4, shared=True),
+        lambda: build_from_points([[0.0], [2.0]], [[1.0]], norm=1),
+    ])
+    def test_replace_keeps_the_instance(self, build):
+        inst = build()
+        again = dataclasses.replace(inst, provenance={"family": "renamed"})
+        assert again.provenance == {"family": "renamed"}
+        assert again.dist.tobytes() == inst.dist.tobytes()
+        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert again.client_labels == inst.client_labels
+        assert again.facility_labels == inst.facility_labels
+
+    def test_mismatched_dist_still_raises(self):
+        triple = gen_tight_triple(3, 12)
+        euclid = gen_random_euclidean(6, 3, seed=1)
+        for inst in (triple, euclid):
+            dist = inst.dist.copy()
+            dist[0, 0] = np.nextafter(dist[0, 0], np.inf)
+            with pytest.raises(BadParams):
+                dataclasses.replace(inst, dist=dist)
+        cross = euclid.cross.copy()
+        cross[0, 1] = cross[1, 0] = np.nextafter(cross[0, 1], np.inf)
+        with pytest.raises(BadParams):
+            dataclasses.replace(euclid, cross=cross)
+        with pytest.raises(BadParams):
+            dataclasses.replace(euclid, points=(euclid.points[0] + 1.0, *euclid.points[1:]))
 
 
 class TestBuildFromGraph:
@@ -526,8 +638,8 @@ class TestSerialization:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         again = load_instance(path)
-        assert np.allclose(again.dist, inst.dist)
-        assert np.allclose(again.cross, inst.cross)
+        assert again.dist.tobytes() == inst.dist.tobytes()
+        assert again.cross.tobytes() == inst.cross.tobytes()
         assert again.client_labels == inst.client_labels
 
     def test_load_point_cloud_document(self, tmp_path):
@@ -693,7 +805,9 @@ class TestLocationsFile:
         with pytest.raises(BadParams):
             MetricInstance(locations=([0], [1]))
         with pytest.raises(BadParams):
-            MetricInstance(dist=np.ones((1, 1)), cross=cross, locations=([0], [1]))
+            MetricInstance(dist=np.full((1, 1), 2.0), cross=cross, locations=([0], [1]))
+        # a dist equal to the derived one is taken, as dataclasses.replace passes it
+        assert MetricInstance(dist=np.ones((1, 1)), cross=cross, locations=([0], [1])).dist == 1.0
         with pytest.raises(DimensionMismatch):
             MetricInstance(cross=np.zeros((2, 3)), locations=([0], [1]))
         with pytest.raises(AsymmetricCross):
@@ -702,6 +816,80 @@ class TestLocationsFile:
         assert inst.dist.tolist() == [[1.0], [1.0], [0.0]]
         assert not inst.dist.flags.writeable
         assert not inst.locations[0].flags.writeable
+
+
+class TestPointsFile:
+    """Point instances are saved as their coordinates and norm."""
+
+    CASES = {
+        "%s_%s_dim%d" % (norm, "shared" if shared else "plain", dim): (norm, shared, dim)
+        for norm in (1, 2, "inf") for shared in (False, True) for dim in (1, 3)
+    }
+
+    @staticmethod
+    def build(norm, shared, dim, seed=5):
+        rng = np.random.default_rng(seed)
+        cpts = rng.normal(size=(9, dim))
+        fpts = cpts if shared else rng.normal(size=(4, dim))
+        return build_from_points(cpts, fpts, norm=norm, provenance={"seed": seed})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_round_trip(self, case, tmp_path):
+        inst = self.build(*self.CASES[case])
+        doc = instance_to_dict(inst)
+        assert list(doc) == ["schema", "clients", "facilities", "client_points",
+                             "facility_points", "norm", "provenance"]
+        assert doc["schema"] == 1
+        again = _reloaded(inst, tmp_path)
+        assert again.dist.tobytes() == inst.dist.tobytes()
+        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert again.points[2] == inst.points[2]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again.points[:2], inst.points[:2]))
+        assert again.client_labels == inst.client_labels
+        assert again.provenance == inst.provenance
+
+    def test_linf_is_written_as_inf(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(self.build("inf", False, 2), path)
+        doc = json.loads(path.read_text())
+        assert doc["norm"] == "inf"
+        assert "dist" not in doc and "cross" not in doc
+        assert load_instance(path).points[2] == math.inf
+
+    @staticmethod
+    def _old_shape(inst):
+        """The document of the same instance as cross and dist matrices."""
+        return {"schema": 1, "clients": list(inst.client_labels),
+                "facilities": list(inst.facility_labels),
+                "dist": inst.dist, "cross": inst.cross, "provenance": inst.provenance}
+
+    def test_commands_match_the_matrix_document(self, tmp_path, capsys):
+        inst = gen_random_euclidean(12, 5, dim=3, seed=7)
+        new, old = tmp_path / "points.json", tmp_path / "matrix.json"
+        save_instance(inst, new)
+        jsonutil.dump_path(self._old_shape(inst), old)
+        commands = [["solve", "{}", "--objectives", "1,12", "--method", "pair"]]
+        commands += [["solve", "{}", "--objectives", "1,4,12", "--method", method, "--profile"]
+                     for method in ("largest", "graph", "exhaustive")]
+        commands += [["graph", "{}", "--objectives", "1,4,12"],
+                     ["verify", "--suite", "lemmas", "--instance", "{}"]]
+        for command in commands:
+            outputs = []
+            for path in (new, old):
+                code = run([arg.format(path) for arg in command])
+                outputs.append((code, capsys.readouterr().out))
+            assert outputs[0] == outputs[1], command
+            assert outputs[0][0] == 0 and outputs[0][1]
+
+    def test_gen_file_is_a_hundredth_of_the_matrices(self, tmp_path):
+        path = tmp_path / "euclid.json"
+        assert run(["gen", "--family", "euclid", "-n", "300", "-m", "300",
+                    "--seed", "7", "-o", str(path)]) == 0
+        size = path.stat().st_size
+        assert size <= 94_000
+        old = tmp_path / "matrix.json"
+        jsonutil.dump_path(self._old_shape(load_instance(path)), old)
+        assert 100 * size <= old.stat().st_size
 
 
 class TestLocatedLayout:
