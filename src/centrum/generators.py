@@ -35,13 +35,16 @@ def _expand_locations(
     facilities take their location's label.
     """
     cidx = np.repeat([loc for loc, _ in client_placement], [c for _, c in client_placement])
-    return MetricInstance(
+    labels = _Labels("c%d@%s", cidx.size, names=loc_labels, index=cidx)
+    inst = MetricInstance(
         cross=loc_cross,
         locations=(cidx, facility_locs),
-        client_labels=_Labels("c%d@%s", cidx.size, names=loc_labels, index=cidx),
+        client_labels=labels,
         facility_labels=[loc_labels[loc] for loc in facility_locs],
         provenance=provenance,
     )
+    labels.index = inst.locations[0]  # the instance's copy, so cidx is freed
+    return inst
 
 
 def _check_rank(value, name: str) -> int:

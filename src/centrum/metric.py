@@ -9,6 +9,11 @@ bare matrix only get one if the caller supplies it. A point-cloud
 instance keeps its coordinates and norm, derives both matrices from
 them, and is saved as those coordinates.
 
+Point and graph instances are metrics by construction. Each records a
+relative rounding bound, and MetricInstance.violations(tol) re-checks
+the triangle inequality only at tol below it, where rounding could
+show; every other cross matrix is validated.
+
 scipy is imported by the functions that need it, so importing this
 module (and the command line) does not load it.
 """
@@ -36,6 +41,7 @@ from .errors import (
 
 _NORM_NAMES = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}
 _RECHECK_CELLS = 1 << 18  # (pair, middle point) cells per recheck block
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class Violation:
 
 def _as_float_matrix(values, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a copy: the caller keeps its array
     except (TypeError, ValueError) as exc:
         raise BadParams("%s is not a numeric matrix: %s" % (what, exc)) from None
     if arr.ndim != 2:
@@ -63,7 +69,7 @@ def _as_float_matrix(values, what: str) -> np.ndarray:
 def _as_locations(locations, size: int) -> tuple:
     """(client_locs, facility_locs) as read-only arrays of cross rows."""
     try:
-        rows = tuple(np.asarray(v) for v in locations)
+        rows = tuple(np.array(v) for v in locations)
     except (TypeError, ValueError) as exc:
         raise BadParams("locations must be two lists of cross rows: %s" % exc) from None
     if len(rows) != 2 or any(r.ndim != 1 or r.size == 0 or r.dtype.kind not in "iu" for r in rows):
@@ -194,6 +200,9 @@ class MetricInstance:
     A dist (or cross) given with locations (or points) must be bit-equal
     to the derived one, so dataclasses.replace works on every instance.
 
+    The constructor copies the arrays it is given, so the caller's stay
+    writeable and unshared; the instance's own arrays are read-only.
+
     client_labels and facility_labels read as tuples of str. Labels
     given by the caller are stored that way; labels the package makes
     up (c<i> and f<j> by default) are formatted on first read, and
@@ -209,26 +218,67 @@ class MetricInstance:
     points: tuple | None = None
     # validate_metric's result per tol, so each instance is checked once
     _violations: dict = field(default_factory=dict, init=False, repr=False)
+    # the relative rounding bound of a metric by construction (see
+    # violations); only the point constructor and build_from_graph set it
+    _rounding: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        given = {}  # derived fields the caller passed too, to match
         if self.points is not None:
-            if self.locations is not None:
-                raise BadParams("an instance takes points or locations, not both")
-            from scipy.spatial.distance import cdist
+            given = self._derive_from_points()
+        else:
+            given = self._take_matrices()
+        n, m = self.dist.shape
+        object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
+        object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
+        if len(self._client_labels) != n or len(self._facility_labels) != m:
+            raise BadParams("label counts do not match matrix shape")
+        for name, value in given.items():
+            if value is not None:
+                value = _as_float_matrix(value, name)
+                ours = getattr(self, name)
+                if value.shape != ours.shape or value.tobytes() != ours.tobytes():
+                    raise BadParams("%s differs from the one derived from points or locations" % name)
 
-            points = _as_points(self.points)
-            everything = np.vstack(points[:2])
-            cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
-            # cdist output can be asymmetric in the last ulp; symmetrize
-            # here so that dist matches cross exactly
-            cross = (cross + cross.T) / 2.0
-            np.fill_diagonal(cross, 0.0)
-            n = len(points[0])
-            given = {"dist": self.dist, "cross": self.cross}
-            object.__setattr__(self, "points", points)
-            object.__setattr__(self, "cross", cross)
-            object.__setattr__(self, "dist", cross[:n, n:].copy())
+    def _derive_from_points(self) -> dict:
+        """Set points, cross and dist from the given points; return the
+        matrices the caller passed too. cdist's output needs none of the
+        bare-matrix guards: it is nonnegative and, once symmetrized with
+        a zero diagonal, has dist as its block. Only coordinates so far
+        apart that a distance overflows are rejected."""
+        if self.locations is not None:
+            raise BadParams("an instance takes points or locations, not both")
+        from scipy.spatial.distance import cdist
+
+        points = _as_points(self.points)
+        n = len(points[0])
+        if n < 1 or len(points[1]) < 1:
+            raise BadParams("instance needs at least one client and one facility")
+        everything = np.vstack(points[:2])
+        cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
+        # cdist output can be asymmetric in the last ulp; symmetrize
+        # here so that dist matches cross exactly
+        cross = (cross + cross.T) / 2.0
+        np.fill_diagonal(cross, 0.0)
+        dist = cross[:n, n:].copy()
+        if not np.isfinite(cross).all():
+            _check_entries(dist, "dist")
+            _check_entries(cross, "cross")
+        cross.setflags(write=False)
+        dist.setflags(write=False)
+        given = {"dist": self.dist, "cross": self.cross}
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "cross", cross)
+        object.__setattr__(self, "dist", dist)
+        dim = points[0].shape[1]
+        if dim < 2**20:  # where the bound's proof holds (see violations)
+            object.__setattr__(self, "_rounding", (2 * dim + 8) * _U)
+        return given
+
+    def _take_matrices(self) -> dict:
+        """Set cross, dist and locations from copies of what the caller
+        gave, after the bare-matrix guards; return the dist to match
+        when locations derive it."""
+        given = {}
         located = self.locations is not None
         if located:
             if self.cross is None:
@@ -263,19 +313,9 @@ class MetricInstance:
         if located:
             object.__setattr__(self, "locations", _as_locations(self.locations, size))
             dist = cross[np.ix_(*self.locations)]
-            n, m = dist.shape
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
-        object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
-        if len(self._client_labels) != n or len(self._facility_labels) != m:
-            raise BadParams("label counts do not match matrix shape")
-        for name, value in given.items():
-            if value is not None:
-                value = _as_float_matrix(value, name)
-                ours = getattr(self, name)
-                if value.shape != ours.shape or value.tobytes() != ours.tobytes():
-                    raise BadParams("%s differs from the one derived from points or locations" % name)
+        return given
 
     @property
     def n_clients(self) -> int:
@@ -287,11 +327,61 @@ class MetricInstance:
 
     @property
     def metric_verified(self) -> bool:
-        """True when cross distances are present, so triangle checks can run."""
+        """True when cross distances are present, so triangle checks can
+        run. Those of a point or graph instance form a metric by
+        construction, and violations(tol) skips re-checking them at any
+        tol the rounding allows; other cross matrices are validated."""
         return self.cross is not None
 
     def violations(self, tol: float = 1e-9) -> list:
-        """validate_metric(self, tol), computed on the first call only."""
+        """validate_metric(self, tol), computed on the first call only.
+
+        Cross distances derived from points or from a graph are a metric
+        up to rounding. Such an instance carries a relative rounding
+        bound b, and at tol >= b this returns [] without validating: as
+        shown below, validate_metric finds nothing there. A tol below b
+        (0 among them; negative and NaN tol too), an instance with no
+        bound (bare matrices, tight families, loaded located files) and
+        a graph instance passed through dataclasses.replace are
+        validated. b is (2 dim + 8) u for points in dim coordinates and
+        (2 V + 4) u for a graph on V vertices, with u = 2**-53.
+
+        Why b suffices. Let each stored distance c be within a relative
+        delta of the distance D of a true metric, |c - D| <= delta D.
+        For a triple (x, y, z), t = fl(c[x,y] + c[y,z]) is at least
+        (1 - u)(1 - delta)(D[x,y] + D[y,z]) >= (1 - u)(1 - delta) D[x,z],
+        so c[x,z] - t <= (2 delta + u) D[x,z], and the rounded slack is
+        at most (1 + u) times that. The scale max(1, c[x,z], t) is at
+        least c[x,z] >= (1 - delta) D[x,z], and rounding tol times it
+        loses at most a factor 1 - u. So no triple is violated once
+        tol >= (2 delta + u)(1 + delta + 3u). While dim and V stay below
+        2**20 the second-order part is under 5u, which the bounds below
+        leave as margin over 2 delta + u.
+
+        - Points: each coordinate difference rounds once (exactly, when
+          subnormal). L1 sums dim of them, in any order, adding
+          (dim - 1) u: delta <= dim u. L2 squares them (2u more), sums,
+          and takes a square root, which halves the relative error and
+          adds u: delta <= (dim/2 + 2) u. Linf takes a maximum:
+          delta <= u. Symmetrizing (c + c.T) / 2 adds u, so delta <=
+          (dim + 1) u, and 2 delta + u <= (2 dim + 3) u. Squares that
+          underflow add an absolute error below 2**-500 per distance,
+          which the 1 in the scale absorbs. A coordinate dimension of
+          2**20 or more gets no bound.
+        - Graphs: Dijkstra settles a vertex at the rounded running sum
+          along some path of at most V - 1 positive edges, at least
+          (1 - (V - 2) u) times that path's length, so at least
+          (1 - (V - 2) u) D. Rounded addition is monotone and never
+          decreases a sum, so along a shortest path each vertex settles
+          at most at fl(its predecessor's settled value + the edge), and
+          the path's end at most at the path's rounded running sum,
+          which is at most (1 + (V - 2) u) D.
+          With the symmetrization delta <= (V - 1) u, and 2 delta + u
+          <= (2 V - 1) u. The dense adjacency matrix keeps V far below
+          2**20.
+        """
+        if self._rounding is not None and tol >= self._rounding:
+            return []
         if tol not in self._violations:
             self._violations[tol] = tuple(validate_metric(self, tol=tol))
         return list(self._violations[tol])
@@ -454,6 +544,11 @@ def build_from_graph(
     (u, v, weight) with weight > 0. client_ids and facility_ids pick
     vertices (repeats allowed, so several clients may share a vertex).
     Raises DisconnectedGraph if any two referenced vertices have no path.
+
+    The instance holds the metric over the referenced vertices and
+    records the rounding bound (2 V + 4) 2**-53, V = len(vertices), of
+    its shortest-path sums, so violations(tol) skips re-validation at
+    tol at or above it (see MetricInstance.violations).
     """
     verts = list(vertices)
     index = {v: i for i, v in enumerate(verts)}
@@ -488,13 +583,15 @@ def build_from_graph(
     if not np.all(np.isfinite(cross)):
         raise DisconnectedGraph("some referenced vertices are not connected")
     n = len(cidx)
-    return MetricInstance(
+    inst = MetricInstance(
         cross=cross,
         locations=(rows[:n], rows[n:]),
         client_labels=_vertex_labels(client_ids, cidx, "c%d:%s"),
         facility_labels=_vertex_labels(facility_ids, fidx, "f%d:%s"),
         provenance=dict(provenance or {}),
     )
+    object.__setattr__(inst, "_rounding", (2 * size + 4) * _U)
+    return inst
 
 
 def _vertex_labels(ids, positions, fmt: str):

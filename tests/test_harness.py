@@ -481,6 +481,35 @@ class TestSweepMulti:
         assert sweep_multi(config).to_jsonable() == sweep_multi(config).to_jsonable()
 
 
+def _validate_always(self, tol=1e-9):
+    """MetricInstance.violations before instances built from points or
+    graphs skipped the check: validate_metric at every tol."""
+    import centrum.metric as metric_mod
+
+    if tol not in self._violations:
+        self._violations[tol] = tuple(metric_mod.validate_metric(self, tol=tol))
+    return list(self._violations[tol])
+
+
+class TestSkipDifferential:
+    """Sweep reports are byte-identical whether or not point and graph
+    instances skip validate_metric at tol above their rounding bound."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-300])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("sweep", [
+        lambda seed, tol: sweep_pair(PairSweepConfig(instances=12, seed=seed, tol=tol)),
+        lambda seed, tol: sweep_pair(PairSweepConfig(instances=12, seed=seed, tol=tol, shared=True)),
+        lambda seed, tol: sweep_multi(MultiSweepConfig(instances=12, seed=seed, tol=tol)),
+    ], ids=["pair", "shared", "multi"])
+    def test_reports_match_full_validation(self, sweep, seed, tol, monkeypatch):
+        skipping = jsonutil.dumps(sweep(seed, tol).to_jsonable())
+        monkeypatch.setattr(MetricInstance, "violations", _validate_always)
+        validating = jsonutil.dumps(sweep(seed, tol).to_jsonable())
+        assert skipping == validating
+        assert '"metric_axioms"' in skipping
+
+
 class TestEmitBoundCurves:
     def test_writes_both_tables(self, tmp_path):
         pair_path, beta_path = emit_bound_curves(

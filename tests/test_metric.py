@@ -324,6 +324,17 @@ class TestPointsField:
         with pytest.raises(NonFinite):
             MetricInstance(points=([[float("inf")]], [[1.0]], 2))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_and_empty_sides_rejected(self):
+        # symmetrizing (c + c.T) / 2 overflows from 2**1023 on
+        with pytest.raises(NonFinite, match=r"^dist\[0\]\[0\] is not finite"):
+            MetricInstance(points=([[1e308]], [[-1e308]], 2))
+        with pytest.raises(NonFinite, match=r"^cross\[0\]\[1\] is not finite"):
+            MetricInstance(points=([[5e307], [-5e307]], [[0.0]], 1))
+        for points in (([], [[1.0]], 2), ([[0.0]], np.zeros((0, 1)), 2)):
+            with pytest.raises(BadParams, match="at least one client and one facility"):
+                MetricInstance(points=points)
+
     def test_bad_norm_rejected(self):
         for norm in (3, 0, -1, "two", "Inf", None, [2], float("nan")):
             with pytest.raises(BadParams):
@@ -630,6 +641,183 @@ class TestValidateOnce:
         inst = build_from_matrix([[1.0]], cross=[[0.0, 1.0], [1.0, 0.0]])
         monkeypatch.setattr(metric_mod, "validate_metric", None)
         assert inst.violations(1e-9) == []
+
+
+def counting_validate(monkeypatch):
+    """Replace validate_metric, where violations looks it up, by a
+    wrapper that records each tol it is called with."""
+    import centrum.metric as metric_mod
+
+    calls = []
+    real = metric_mod.validate_metric
+
+    def counting(instance, tol=1e-9):
+        calls.append(tol)
+        return real(instance, tol=tol)
+
+    monkeypatch.setattr(metric_mod, "validate_metric", counting)
+    return calls
+
+
+_NORMS = st.sampled_from([1, 2, math.inf])
+
+
+@st.composite
+def scaled_points(draw):
+    """Points in 1 to 50 coordinates at scales 1e-6 to 1e6, in general
+    position or on one line, where every triangle through a middle
+    point is an equality that rounding can break."""
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    dim = draw(st.integers(1, 50))
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        pts = rng.uniform(-1.0, 1.0, (n + m, dim))
+    else:
+        pts = rng.uniform(-1.0, 1.0, dim) + rng.uniform(-3.0, 3.0, (n + m, 1)) * rng.normal(size=dim)
+    pts = pts * scale
+    return build_from_points(pts[:n], pts[n:], norm=draw(_NORMS))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Chains (every triangle along them an equality) and dense graphs on
+    up to 120 vertices, weights spread over 1e-3 to 1e3."""
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    nv = draw(st.integers(2, 120))
+    if draw(st.booleans()):
+        pairs = [(v, v + 1) for v in range(nv - 1)]
+    else:
+        pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, len(pairs))
+    edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights)]
+    vertices = list(range(nv))
+    return build_from_graph(vertices, edges, vertices, vertices)
+
+
+def _rounding_chain():
+    """0.1 + 0.2 rounds up, so the chain 0.1, 0.2, 0.3 puts d(0, 3) one
+    ulp above d(0, 1) + d(1, 3)."""
+    return build_from_graph(
+        [0, 1, 2, 3], [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)], [0, 1, 2, 3], [0, 3]
+    )
+
+
+class TestRoundingBound:
+    """Point and graph instances skip validation at tol >= their
+    rounding bound, where validate_metric provably finds nothing."""
+
+    @given(scaled_points())
+    def test_points_hold_within_the_bound(self, inst):
+        bound = inst._rounding
+        assert bound == (2 * inst.points[0].shape[1] + 8) * 2.0**-53
+        assert validate_metric(inst, tol=bound) == []
+
+    @given(weighted_graphs())
+    def test_graphs_hold_within_the_bound(self, inst):
+        bound = inst._rounding
+        assert bound == (2 * len(inst.cross) + 4) * 2.0**-53
+        assert validate_metric(inst, tol=bound) == []
+
+    def test_graphs_still_fail_the_exact_check(self, monkeypatch):
+        calls = counting_validate(monkeypatch)
+        for inst in (
+            _rounding_chain(),
+            gen_random_graph_metric(12, seed=4, n_clients=20, m_facilities=6),
+        ):
+            found = inst.violations(0.0)
+            assert found and records(found) == records(validate_metric(inst, tol=0.0))
+            assert 0 < max(v.slack for v in found) <= inst._rounding * inst.cross.max()
+            assert inst.violations(inst._rounding) == []
+        assert calls == [0.0, 0.0]
+
+    def test_skipped_at_the_default_tol(self, monkeypatch):
+        calls = counting_validate(monkeypatch)
+        for inst in (
+            gen_random_euclidean(12, 5, dim=3, seed=1),
+            gen_random_euclidean(9, None, seed=2, shared=True),
+            build_from_points([[0.0], [2.0]], [[1.0]], norm=1),
+            gen_random_graph_metric(10, seed=3, n_clients=14, m_facilities=5),
+            _rounding_chain(),
+        ):
+            assert inst.violations(1e-9) == []
+        assert calls == []
+        assert gen_tight_triple(3, 12).violations(1e-9) == []
+        assert calls == [1e-9]
+
+    def test_negative_and_nan_tol_validate(self, monkeypatch):
+        calls = counting_validate(monkeypatch)
+        nan = float("nan")
+        for inst in (gen_random_euclidean(5, 3, seed=1), _rounding_chain()):
+            assert records(inst.violations(-1.0)) == records(validate_metric(inst, tol=-1.0))
+            assert inst.violations(-1.0)
+            assert inst.violations(nan) == []
+        assert calls == [-1.0, nan, -1.0, nan]
+
+    def test_only_the_builders_set_a_bound(self):
+        euclid = gen_random_euclidean(6, 3, seed=5)
+        graph = _rounding_chain()
+        assert dataclasses.replace(euclid, provenance={})._rounding == euclid._rounding
+        # replace cannot carry the graph's bound, so that copy validates again
+        assert dataclasses.replace(graph, provenance={})._rounding is None
+        assert MetricInstance(cross=graph.cross, locations=graph.locations)._rounding is None
+        assert with_cross(euclid.cross, 6)._rounding is None
+        assert gen_tight_triple(3, 12)._rounding is None
+        with pytest.raises(TypeError):
+            MetricInstance(dist=[[1.0]], _rounding=1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(graph, _rounding=1.0)
+
+    def test_loaded_files_keep_their_certificate(self, tmp_path):
+        euclid, graph = gen_random_euclidean(6, 3, seed=5), _rounding_chain()
+        save_instance(euclid, tmp_path / "e.json")
+        save_instance(graph, tmp_path / "g.json")
+        assert load_instance(tmp_path / "e.json")._rounding == euclid._rounding
+        # a located file is a bare cross matrix: validated on load
+        assert load_instance(tmp_path / "g.json", tol=1e-9)._rounding is None
+
+
+class TestCallerArrays:
+    """The constructor copies what it is given and freezes its own copies."""
+
+    @staticmethod
+    def assert_owned(given, stored):
+        assert given.flags.writeable
+        assert not np.shares_memory(given, stored)
+        assert not stored.flags.writeable
+        before = stored.copy()
+        given[...] = 7
+        assert np.array_equal(stored, before)
+
+    def test_bare_matrix(self):
+        d = np.ones((2, 2))
+        inst = build_from_matrix(d)
+        self.assert_owned(d, inst.dist)
+
+    def test_matrix_with_cross(self):
+        cross = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        dist = cross[:2, 2:].copy()
+        inst = MetricInstance(dist=dist, cross=cross)
+        self.assert_owned(dist, inst.dist)
+        self.assert_owned(cross, inst.cross)
+
+    def test_located(self):
+        cross = np.array([[0.0, 1.0], [1.0, 0.0]])
+        clients, facilities = np.arange(3) % 2, np.array([1])
+        inst = MetricInstance(cross=cross, locations=(clients, facilities))
+        assert inst.dist.tolist() == [[1.0], [0.0], [1.0]]
+        self.assert_owned(cross, inst.cross)
+        self.assert_owned(clients, inst.locations[0])
+        self.assert_owned(facilities, inst.locations[1])
+        assert not inst.dist.flags.writeable
+
+    def test_points(self):
+        cpts, fpts = np.array([[0.0, 1.0], [2.0, 2.0]]), np.array([[1.0, 0.0]])
+        inst = build_from_points(cpts, fpts)
+        for arr in (inst.dist, inst.cross):
+            assert not arr.flags.writeable
+        self.assert_owned(cpts, inst.points[0])
+        self.assert_owned(fpts, inst.points[1])
 
 
 class TestSerialization:
