@@ -10,10 +10,10 @@ worst-case constants for their selection rules; f tops out at
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidQ, InvalidTol, XOutOfRange
+from .errors import InvalidQ, XOutOfRange
 
 SQRT2 = math.sqrt(2.0)
-PAIR_LIMIT = 1.0 + SQRT2  # supremum of f, also beta(2)
+PAIR_LIMIT = 1.0 + SQRT2  # supremum of f; beta(2) is the float just above it
 MULTI_LIMIT = 3.0  # supremum of beta(q) over all q
 
 
@@ -69,45 +69,31 @@ def pair_bound_shared(x) -> float:
     return _f_small(x) if x <= 4.0 else 2.0
 
 
-def _beta_poly(q: int, beta: float) -> float:
-    return (beta - 2.0) ** (q - 1) * beta - 1.0
-
-
-def beta_q(q, tol: float = 1e-12) -> float:
+def beta_q(q) -> float:
     """Guarantee for picking the best of q >= 2 optima.
 
     The unique root of (beta - 2)^(q-1) * beta = 1 inside
-    [1 + sqrt(2), 3). Bisection; the residual of the returned value is
-    at most tol. beta(2) = 1 + sqrt(2), beta(3) = (3 + sqrt(5)) / 2,
-    and beta(q) increases toward 3.
+    [1 + sqrt(2), 3). Bisection of [2, 3] on the sign of the rounded
+    left side minus 1, until the ends are adjacent floats; the upper
+    end, where the left side is at least 1, is returned. So
+    beta(3) == (3 + sqrt(5)) / 2 in floats, beta(2) is the float just
+    above 1 + sqrt(2), and beta(q) never decreases as q grows. It
+    tends to 3, and is 3.0 from q = 10**16 on.
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise InvalidQ("q must be an integer >= 2, got %r" % (q,))
-    if not isinstance(tol, float) or not math.isfinite(tol) or tol <= 0:
-        raise InvalidTol("tol must be a positive finite float, got %r" % (tol,))
-    lo, hi = PAIR_LIMIT, 3.0
-    val = _beta_poly(q, lo)
-    if abs(val) <= tol:
-        return lo
-    if val > 0:
-        raise InvalidQ("no root bracket for q=%d" % q)  # not reachable for q >= 2
-    mid = lo
-    for _ in range(200):
+    # beta is 3.0 in floats long before q - 1 = 2**64, and the cap keeps
+    # the exponent within float range
+    power = min(q - 1, 2**64)
+    lo, hi = 2.0, 3.0
+    while True:
         mid = 0.5 * (lo + hi)
-        val = _beta_poly(q, mid)
-        if abs(val) <= tol:
-            return mid
-        if val < 0:
+        if mid == lo or mid == hi:
+            return hi
+        if (mid - 2.0) ** power * mid < 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 0.0:
-            break
-    if abs(_beta_poly(q, mid)) <= tol:
-        return mid
-    raise InvalidTol(
-        "tol=%g is below what float64 bisection can reach for q=%d" % (tol, q)
-    )
 
 
 def pair_guarantee(k: int, p: int) -> BoundValue:
@@ -115,10 +101,10 @@ def pair_guarantee(k: int, p: int) -> BoundValue:
     return BoundValue(value=pair_bound_f(x), kind="pair_f", params={"k": k, "p": p, "x": x})
 
 
-def multi_guarantee(q: int, tol: float = 1e-12) -> BoundValue:
+def multi_guarantee(q: int) -> BoundValue:
     if q == 1:
         return BoundValue(value=1.0, kind="constant", params={"q": 1})
-    return BoundValue(value=beta_q(q, tol=tol), kind="beta_q", params={"q": q})
+    return BoundValue(value=beta_q(q), kind="beta_q", params={"q": q})
 
 
 def shared_guarantee(k: int, p: int) -> BoundValue:

@@ -34,10 +34,6 @@ class NonzeroDiagonal(MetricError):
     pass
 
 
-class CrossMismatch(MetricError):
-    """The client-facility block of the cross matrix disagrees with dist."""
-
-
 class MissingCrossDistances(MetricError):
     """The operation needs client-client / facility-facility distances."""
 
@@ -79,10 +75,6 @@ class XOutOfRange(CentrumError):
 
 class InvalidQ(CentrumError):
     """Objective-count parameter must be an integer >= 2."""
-
-
-class InvalidTol(CentrumError):
-    pass
 
 
 class RatioTooSmall(CentrumError):

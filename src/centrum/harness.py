@@ -9,7 +9,7 @@ serialize deterministically so runs can be diffed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import PAIR_LIMIT, beta_q, pair_bound_f, pair_bound_shared
+from .bounds import PAIR_LIMIT, beta_q, multi_guarantee, pair_bound_f, pair_bound_shared
 from .errors import BadConfig
 from .generators import (
     gen_random_euclidean,
@@ -146,16 +146,12 @@ class VerificationReport:
         return self.bounds[name]
 
     def merge(self, other: "VerificationReport") -> None:
-        for name, rec in other.checks.items():
-            if name in self.checks:
-                self.checks[name].merge(rec)
-            else:
-                self.checks[name] = rec
-        for name, rec in other.bounds.items():
-            if name in self.bounds:
-                self.bounds[name].merge(rec)
-            else:
-                self.bounds[name] = rec
+        for ours, theirs in ((self.checks, other.checks), (self.bounds, other.bounds)):
+            for name, rec in theirs.items():
+                if name in ours:
+                    ours[name].merge(rec)
+                else:
+                    ours[name] = rec
 
     @property
     def violations_total(self) -> int:
@@ -327,6 +323,31 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     return report
 
 
+def _validate_shared_fields(config) -> None:
+    """The checks of the fields both sweep configs have."""
+    if not isinstance(config.instances, int) or config.instances < 0:
+        raise BadConfig("instances must be a non-negative integer")
+    if not isinstance(config.seed, int) or config.seed < 0:
+        raise BadConfig("seed must be a non-negative integer")
+    if not (isinstance(config.tol, float) and math.isfinite(config.tol) and config.tol > 0):
+        raise BadConfig("tol must be a positive finite float")
+    for kind in config.kinds:
+        if kind not in ("euclidean", "graph"):
+            raise BadConfig("unknown instance kind %r" % (kind,))
+    if not config.kinds:
+        raise BadConfig("kinds must be non-empty")
+
+
+def _config_jsonable(config, sweep: str) -> dict:
+    """{"sweep": sweep} and every field of config in order, with
+    tuples (nested ones too) as lists."""
+
+    def plain(value):
+        return [plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+    return {"sweep": sweep, **{f.name: plain(getattr(config, f.name)) for f in fields(config)}}
+
+
 @dataclass
 class PairSweepConfig:
     """Settings for the randomized pair-rule sweep.
@@ -348,21 +369,11 @@ class PairSweepConfig:
     tol: float = 1e-9
 
     def validate(self) -> None:
-        if not isinstance(self.instances, int) or self.instances < 0:
-            raise BadConfig("instances must be a non-negative integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise BadConfig("seed must be a non-negative integer")
-        if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
-            raise BadConfig("tol must be a positive finite float")
+        _validate_shared_fields(self)
         if self.max_clients < 4 or self.max_facilities < 2:
             raise BadConfig("need max_clients >= 4 and max_facilities >= 2")
         if self.pairs_per_instance < 1:
             raise BadConfig("pairs_per_instance must be >= 1")
-        for kind in self.kinds:
-            if kind not in ("euclidean", "graph"):
-                raise BadConfig("unknown instance kind %r" % (kind,))
-        if not self.kinds:
-            raise BadConfig("kinds must be non-empty")
         for x in self.tight_xs:
             if not (x > 1.0 and math.isfinite(x)):
                 raise BadConfig("tight_xs entries must be finite and > 1")
@@ -370,19 +381,7 @@ class PairSweepConfig:
                 raise BadConfig("tight x=%r is not a small rational" % (x,))
 
     def to_jsonable(self) -> dict:
-        return {
-            "sweep": "pair",
-            "instances": self.instances,
-            "seed": self.seed,
-            "max_clients": self.max_clients,
-            "max_facilities": self.max_facilities,
-            "kinds": list(self.kinds),
-            "pairs_per_instance": self.pairs_per_instance,
-            "tight_xs": list(self.tight_xs),
-            "shared": self.shared,
-            "include_checks": self.include_checks,
-            "tol": self.tol,
-        }
+        return _config_jsonable(self, "pair")
 
 
 _X_BUCKETS = (1.5, 2.0, 3.0, 4.0, 6.0, 10.0, 100.0, math.inf)
@@ -498,39 +497,18 @@ class MultiSweepConfig:
     tol: float = 1e-9
 
     def validate(self) -> None:
-        if not isinstance(self.instances, int) or self.instances < 0:
-            raise BadConfig("instances must be a non-negative integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise BadConfig("seed must be a non-negative integer")
-        if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
-            raise BadConfig("tol must be a positive finite float")
+        _validate_shared_fields(self)
         if not self.qs or any(not isinstance(q, int) or q < 2 for q in self.qs):
             raise BadConfig("qs must be integers >= 2")
         if self.max_clients < max(self.qs) + 1:
             raise BadConfig("max_clients too small for the largest q")
-        for kind in self.kinds:
-            if kind not in ("euclidean", "graph"):
-                raise BadConfig("unknown instance kind %r" % (kind,))
-        if not self.kinds:
-            raise BadConfig("kinds must be non-empty")
         for size in self.tight_sizes:
             k, n = size
             if not (isinstance(k, int) and isinstance(n, int) and 1 < k < n):
                 raise BadConfig("tight_sizes entries need 1 < k < n")
 
     def to_jsonable(self) -> dict:
-        return {
-            "sweep": "multi",
-            "instances": self.instances,
-            "seed": self.seed,
-            "max_clients": self.max_clients,
-            "max_facilities": self.max_facilities,
-            "kinds": list(self.kinds),
-            "qs": list(self.qs),
-            "tight_sizes": [list(s) for s in self.tight_sizes],
-            "include_checks": self.include_checks,
-            "tol": self.tol,
-        }
+        return _config_jsonable(self, "multi")
 
 
 def _multi_job(config: MultiSweepConfig, index: int) -> VerificationReport:
@@ -544,7 +522,7 @@ def _multi_job(config: MultiSweepConfig, index: int) -> VerificationReport:
     report = VerificationReport()
     graph_result = select_multi_graph(inst, ks)
     oracle = select_exhaustive(inst, ks)
-    bound = beta_q(q) if q >= 2 else 1.0
+    bound = multi_guarantee(q).value
     report.bound("multi_guarantee[q=%d]" % q, bound).add(
         graph_result.worst_ratio, bound, config.tol
     )

@@ -5,7 +5,8 @@ additionally carry a symmetric metric (``cross``) over its points or
 over its distinct locations, which is what triangle-inequality checks
 need. Instances built from point clouds, graph shortest paths or the
 tight generators get the cross matrix for free; instances built from a
-bare matrix only get one if the caller supplies it. A point-cloud
+bare matrix only get one if the caller supplies it, which is read as
+one location per point. A point-cloud
 instance keeps its coordinates and norm, derives both matrices from
 them, and is saved as those coordinates.
 
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import (
     AsymmetricCross,
     BadParams,
-    CrossMismatch,
     DimensionMismatch,
     DisconnectedGraph,
     MissingCrossDistances,
@@ -190,15 +190,17 @@ def _own_labels(given, fmt: str, count: int):
 class MetricInstance:
     """Immutable problem instance.
 
-    dist has shape (n_clients, m_facilities). cross, when present, has
-    shape (n+m, n+m), clients first, and dist as its upper-right block;
-    or it is the metric over L distinct locations, locations = (client_locs,
+    dist has shape (n_clients, m_facilities). cross, when present, is
+    the metric over L distinct locations, locations = (client_locs,
     facility_locs) gives each point's row, and dist = cross[np.ix_(*locations)].
+    A cross given with a dist and no locations has shape (n+m, n+m),
+    clients first, and takes locations = (arange(n), arange(n, n + m)).
     With points = (client_points, facility_points, norm), norm 1, 2 or
     inf, both cross and dist are derived from the coordinates.
 
-    A dist (or cross) given with locations (or points) must be bit-equal
-    to the derived one, so dataclasses.replace works on every instance.
+    A dist given with a cross (or a dist or cross given with points)
+    must be bit-equal to the derived one, so dataclasses.replace works
+    on every instance.
 
     The constructor copies the arrays it is given, so the caller's stay
     writeable and unshared; the instance's own arrays are read-only.
@@ -237,7 +239,7 @@ class MetricInstance:
                 value = _as_float_matrix(value, name)
                 ours = getattr(self, name)
                 if value.shape != ours.shape or value.tobytes() != ours.tobytes():
-                    raise BadParams("%s differs from the one derived from points or locations" % name)
+                    raise BadParams("%s differs from the one derived from points or cross" % name)
 
     def _derive_from_points(self) -> dict:
         """Set points, cross and dist from the given points; return the
@@ -277,42 +279,39 @@ class MetricInstance:
     def _take_matrices(self) -> dict:
         """Set cross, dist and locations from copies of what the caller
         gave, after the bare-matrix guards; return the dist to match
-        when locations derive it."""
-        given = {}
-        located = self.locations is not None
-        if located:
-            if self.cross is None:
-                raise BadParams("locations need a cross matrix")
-            given = {"dist": self.dist}
-        else:
+        when cross derives it. A cross without locations is read as the
+        identity layout: dist's n clients, then its m facilities."""
+        given, locations = {"dist": self.dist}, self.locations
+        if locations is None:
             dist = _as_float_matrix(self.dist, "dist")
             if dist.shape[0] < 1 or dist.shape[1] < 1:
                 raise BadParams("instance needs at least one client and one facility")
             _check_entries(dist, "dist")
+            if self.cross is None:
+                dist.setflags(write=False)
+                object.__setattr__(self, "dist", dist)
+                return {}
             n, m = dist.shape
-        if self.cross is not None:
-            cross = _as_float_matrix(self.cross, "cross")
-            size = len(cross) if located else n + m
-            if cross.shape != (size, size):
-                raise DimensionMismatch(
-                    "cross must be (%d, %d), got %r" % (size, size, cross.shape)
-                )
-            _check_entries(cross, "cross")
-            if not np.array_equal(cross, cross.T):
-                if not np.allclose(cross, cross.T, rtol=0, atol=1e-9):
-                    i, j = np.argwhere(~np.isclose(cross, cross.T, rtol=0, atol=1e-9))[0]
-                    raise AsymmetricCross("cross[%d][%d] != cross[%d][%d]" % (i, j, j, i))
-                cross = (cross + cross.T) / 2.0
-            if np.any(np.diag(cross) != 0):
-                i = int(np.argwhere(np.diag(cross) != 0)[0][0])
-                raise NonzeroDiagonal("cross[%d][%d] = %g" % (i, i, cross[i, i]))
-            if not located and not np.allclose(cross[:n, n:], dist, rtol=1e-12, atol=1e-12):
-                raise CrossMismatch("cross client-facility block disagrees with dist")
-            cross.setflags(write=False)
-            object.__setattr__(self, "cross", cross)
-        if located:
-            object.__setattr__(self, "locations", _as_locations(self.locations, size))
-            dist = cross[np.ix_(*self.locations)]
+            locations = (np.arange(n), np.arange(n, n + m))
+        elif self.cross is None:
+            raise BadParams("locations need a cross matrix")
+        cross = _as_float_matrix(self.cross, "cross")
+        size = len(cross) if self.locations is not None else n + m
+        if cross.shape != (size, size):
+            raise DimensionMismatch("cross must be (%d, %d), got %r" % (size, size, cross.shape))
+        _check_entries(cross, "cross")
+        if not np.array_equal(cross, cross.T):
+            if not np.allclose(cross, cross.T, rtol=0, atol=1e-9):
+                i, j = np.argwhere(~np.isclose(cross, cross.T, rtol=0, atol=1e-9))[0]
+                raise AsymmetricCross("cross[%d][%d] != cross[%d][%d]" % (i, j, j, i))
+            cross = (cross + cross.T) / 2.0
+        if np.any(np.diag(cross) != 0):
+            i = int(np.argwhere(np.diag(cross) != 0)[0][0])
+            raise NonzeroDiagonal("cross[%d][%d] = %g" % (i, i, cross[i, i]))
+        cross.setflags(write=False)
+        object.__setattr__(self, "cross", cross)
+        object.__setattr__(self, "locations", _as_locations(locations, size))
+        dist = cross[np.ix_(*self.locations)]
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
         return given
@@ -603,8 +602,8 @@ def _vertex_labels(ids, positions, fmt: str):
 
 def instance_to_dict(instance: MetricInstance) -> dict:
     """The JSON document of an instance, holding what defines it: the
-    coordinates and norm ("inf" for Linf) of a point instance, cross and
-    locations of a located one, else dist and any cross."""
+    coordinates and norm ("inf" for Linf) of a point instance, else
+    cross and locations, else dist."""
     out = {
         "schema": 1,
         "clients": list(instance.client_labels),
@@ -615,13 +614,11 @@ def instance_to_dict(instance: MetricInstance) -> dict:
         out["client_points"] = cpts
         out["facility_points"] = fpts
         out["norm"] = "inf" if norm == math.inf else norm
-    elif instance.locations is not None:
+    elif instance.cross is not None:
         out["cross"] = instance.cross
         out["locations"] = list(instance.locations)
     else:
         out["dist"] = instance.dist
-        if instance.cross is not None:
-            out["cross"] = instance.cross
     if instance.provenance:
         out["provenance"] = instance.provenance
     return out

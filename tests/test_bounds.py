@@ -15,7 +15,7 @@ from centrum import (
     shared_guarantee,
 )
 from centrum.bounds import MULTI_LIMIT, PAIR_LIMIT
-from centrum.errors import InvalidQ, InvalidTol, XOutOfRange
+from centrum.errors import InvalidQ, XOutOfRange
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,9 +100,11 @@ class TestSharedBound:
 class TestBetaQ:
     def test_q2_closed_form(self):
         assert beta_q(2) == pytest.approx(1.0 + SQRT2, abs=1e-12)
+        # 1 + sqrt(2) lies between PAIR_LIMIT and the next float up
+        assert beta_q(2) == math.nextafter(PAIR_LIMIT, 3.0)
 
     def test_q3_closed_form(self):
-        assert beta_q(3) == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
+        assert beta_q(3) == (3.0 + math.sqrt(5.0)) / 2.0
 
     def test_frozen_q4_q5(self):
         # grid-bisection oracle values, independent of this implementation
@@ -128,10 +130,21 @@ class TestBetaQ:
         with pytest.raises(InvalidQ):
             beta_q(q)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-300, math.nan])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(InvalidTol):
-            beta_q(3, tol=tol)
+    @pytest.mark.parametrize("q", [2, 3, 4, 64, 10672, 10**5, 10**9])
+    def test_first_float_past_the_root(self, q):
+        # the rounded left side is >= 1 at beta(q) and < 1 one float below
+        b = beta_q(q)
+        below = math.nextafter(b, 2.0)
+        assert (below - 2.0) ** (q - 1) * below < 1.0 <= (b - 2.0) ** (q - 1) * b
+        assert b <= MULTI_LIMIT
+
+    def test_three_at_huge_q(self):
+        assert beta_q(10**16) == beta_q(2**64 + 1) == beta_q(10**400) == 3.0
+
+    def test_nondecreasing_to_20000(self):
+        values = [beta_q(q) for q in range(2, 20001)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] <= MULTI_LIMIT
 
     def test_interval_membership(self):
         for q in (2, 5, 17, 64):

@@ -63,6 +63,11 @@ class TestBounds:
         assert name == "beta"
         assert float(value) == pytest.approx(BETA3, abs=1e-11)
 
+    def test_beta_at_large_q(self, capsys):
+        assert run(["bounds", "--beta", "100000"]) == 0
+        name, value = capsys.readouterr().out.split()
+        assert name == "beta" and 2.99998 < float(value) <= 3.0
+
     def test_pair_and_shared(self, capsys):
         assert run(["bounds", "--pair", "2", "--shared", "10"]) == 0
         lines = dict(

@@ -33,7 +33,6 @@ from centrum.cli import run
 from centrum.errors import (
     AsymmetricCross,
     BadParams,
-    CrossMismatch,
     DimensionMismatch,
     DisconnectedGraph,
     MissingCrossDistances,
@@ -203,7 +202,7 @@ class TestBuildFromMatrix:
             [1.0, 0.0, 1.0],
             [1.0, 1.0, 0.0],
         ])
-        with pytest.raises(CrossMismatch):
+        with pytest.raises(BadParams):
             MetricInstance(dist=np.array([[9.0], [1.0]]), cross=cross)
 
     def test_cross_shape_checked(self):
@@ -900,6 +899,57 @@ def _reloaded(inst, tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     return load_instance(path)
+
+
+class TestBareCross:
+    """A cross given with dist and no locations: the identity layout."""
+
+    @staticmethod
+    def bare_and_located(seed):
+        n, m = 4, 3
+        cross = np.random.default_rng(seed).uniform(1.0, 3.0, size=(n + m, n + m))
+        cross[0, n] = 9.0  # longer than any path through a third point
+        cross = (cross + cross.T) / 2.0
+        np.fill_diagonal(cross, 0.0)
+        bare = MetricInstance(dist=cross[:n, n:].copy(), cross=cross)
+        located = MetricInstance(cross=cross, locations=(np.arange(n), np.arange(n, n + m)))
+        return bare, located
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_identity_located_instance(self, seed):
+        bare, located = self.bare_and_located(seed)
+        assert bare.dist.tobytes() == located.dist.tobytes()
+        assert bare.cross.tobytes() == located.cross.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(bare.locations, located.locations))
+        assert [v.tolist() for v in bare.locations] == [[0, 1, 2, 3], [4, 5, 6]]
+        assert bare.client_labels == located.client_labels == ("c0", "c1", "c2", "c3")
+        assert bare.facility_labels == located.facility_labels == ("f0", "f1", "f2")
+        for tol in (1e-9, 0.0):
+            found = bare.violations(tol)
+            assert found == located.violations(tol)
+            assert ("c0", "c1", "f0") in [v.points for v in found]
+
+    def test_saved_as_cross_and_locations(self, tmp_path):
+        cross = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        inst = build_from_matrix(cross[:2, 2:], cross=cross, client_labels=("a", "b"))
+        doc = instance_to_dict(inst)
+        assert list(doc) == ["schema", "clients", "facilities", "cross", "locations"]
+        assert [v.tolist() for v in doc["locations"]] == [[0, 1], [2]]
+        # the matrices come back bit for bit: TestLocationsFile's "matrix" family
+        again = _reloaded(inst, tmp_path)
+        assert all(np.array_equal(a, b) for a, b in zip(again.locations, inst.locations))
+        assert again.client_labels == ("a", "b") and again.facility_labels == ("f0",)
+
+    def test_dist_must_equal_the_block_bit_for_bit(self, tmp_path, capsys):
+        bare, _ = self.bare_and_located(0)
+        dist = bare.dist.copy()
+        dist[1, 2] = np.nextafter(dist[1, 2], np.inf)
+        with pytest.raises(BadParams):
+            MetricInstance(dist=dist, cross=bare.cross)
+        path = tmp_path / "bare.json"
+        jsonutil.dump_path({"dist": dist, "cross": bare.cross}, path)
+        assert run(["solve", str(path), "--objectives", "1,3"]) == 2
+        assert "dist differs" in capsys.readouterr().err
 
 
 class TestLocationsFile:

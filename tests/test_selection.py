@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from centrum import (
+    beta_q,
     gen_tight_pair_triangle,
     gen_tight_triple,
     select_exhaustive,
@@ -17,6 +18,7 @@ from centrum import (
 )
 from centrum.errors import BadObjectivePair, DegenerateOptimum
 from centrum.metric import build_from_matrix
+from centrum.objectives import ratio_graph
 
 from conftest import draw_pair, raw_instances
 
@@ -139,6 +141,14 @@ class TestSelectMultiGraph:
         result = select_multi_graph(inst, (1, 10, 60))
         assert result.worst_ratio <= BETA3 + 1e-12
         assert result.guarantee.kind == "beta_q"
+
+    @pytest.mark.parametrize("k,n", [(3, 12), (10, 100), (100, 10**4)])
+    def test_tight_triple_within_beta_exactly(self, k, n):
+        # from k = 10 on, the middle optimum's ratio under objective 1 is
+        # (3 + sqrt(5)) / 2 in floats: no ratio of the family exceeds beta(3)
+        inst = gen_tight_triple(k, n)
+        assert select_multi_graph(inst, (1, k, n)).worst_ratio <= beta_q(3)
+        assert ratio_graph(inst, (1, k, n)).weights.max() <= beta_q(3)
 
     @given(raw_instances(), st.data())
     def test_never_beats_exhaustive(self, inst, data):
