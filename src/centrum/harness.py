@@ -219,10 +219,13 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     """Run every structural inequality on one instance.
 
     Cost-only inequalities run always; the ones whose proofs lean on
-    the triangle inequality need cross distances, which every generated
-    instance carries (the tight families as a location metric, at any
-    size). Returns a report with one record per check, each one array
-    pass over all rank pairs, selectors or cycles, in that order.
+    the triangle inequality need a metric instance (metric_verified):
+    points, or cross distances, which every other generated instance
+    carries (the tight families as a location metric, at any size).
+    Its metric_axioms record comes from instance.violations(tol), which
+    validates only where rounding could show. Returns a report with one
+    record per check, each one array pass over all rank pairs,
+    selectors or cycles, in that order.
     """
     profile = cost_profile(instance, objectives)
     report = VerificationReport()

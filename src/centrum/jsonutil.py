@@ -14,6 +14,7 @@ import numpy as np
 
 _FLOAT_TYPES = {float, np.float64}
 _WRITE_SLICE = 1 << 16  # characters per write in dump_path
+_FORMAT_CELLS = 1 << 16  # matrix entries per %-format in _float_matrix
 
 
 def format_float(value: float) -> str:
@@ -27,18 +28,34 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _float_row(seq: list, values: np.ndarray) -> str:
-    """A row of finite floats as "[a, b, ...]", by one %-format string.
+def _specs(values: np.ndarray) -> list:
+    """The %-format spec of each float, as nested lists shaped like
+    values: "%.1f" where format_float keeps an integral value below 1e16,
+    "%.17g" elsewhere ("%.17g" % v is format(v, ".17g")), so a format
+    built from them matches format_float entry by entry."""
+    integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    return np.where(integral, "%.1f", "%.17g").tolist()
 
-    seq holds the floats and values the same floats as an array. Each
-    entry gets "%.1f" where format_float keeps an integral value below
-    1e16 and "%.17g" elsewhere ("%.17g" % v is format(v, ".17g")), so
-    the row matches format_float entry by entry.
-    """
-    specs = ["%.17g"] * len(seq)
-    for i in np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e16)):
-        specs[i] = "%.1f"
-    return ("[" + ", ".join(specs) + "]") % tuple(seq)
+
+def _float_row(seq: list, values: np.ndarray) -> str:
+    """A row of finite floats as "[a, b, ...]", by one %-format string;
+    seq holds the floats and values the same floats as an array."""
+    return ("[" + ", ".join(_specs(values)) + "]") % tuple(seq)
+
+
+def _float_matrix(matrix: np.ndarray, pad: str, inner: str) -> str:
+    """A 2-d float64 array of finite values, as _emit writes it row by
+    row (one indented row per line), with one %-format string per block
+    of rows. Blocks of at most _FORMAT_CELLS entries bound the Python
+    floats and spec strings alive at once."""
+    sep = "],\n" + inner + "["
+    step = max(1, _FORMAT_CELLS // matrix.shape[1])
+    blocks = []
+    for lo in range(0, len(matrix), step):
+        block = matrix[lo:lo + step]
+        rows = sep.join(map(", ".join, _specs(block)))
+        blocks.append(rows % tuple(block.ravel().tolist()))
+    return "[\n" + inner + "[" + sep.join(blocks) + "]\n" + pad + "]"
 
 
 def _emit(obj, indent: int, level: int, pieces: list) -> None:
@@ -67,7 +84,10 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.ndim > 1:
-        # row by row from the array: the matrix never exists as Python floats
+        if obj.ndim == 2 and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            pieces.append(_float_matrix(obj, pad, inner))
+            return
+        # row by row: other dtypes, and NaN or Infinity as format_float writes them
         _emit(list(obj), indent, level, pieces)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)

@@ -1,22 +1,24 @@
 """Instances: clients, facilities, and the distances between them.
 
 An instance always carries the client-facility distance matrix. It may
-additionally carry a symmetric metric (``cross``) over its points or
-over its distinct locations, which is what triangle-inequality checks
-need. Instances built from point clouds, graph shortest paths or the
-tight generators get the cross matrix for free; instances built from a
-bare matrix only get one if the caller supplies it, which is read as
-one location per point. A point-cloud
-instance keeps its coordinates and norm, derives both matrices from
-them, and is saved as those coordinates.
+additionally carry a symmetric metric (``cross``) over its distinct
+locations, which is what triangle-inequality checks need. Instances
+built from graph shortest paths or the tight generators get the cross
+matrix for free; instances built from a bare matrix only get one if the
+caller supplies it, which is read as one location per point. A
+point-cloud instance keeps its coordinates and norm instead, derives
+only the client-facility distances from them, holds no cross matrix,
+and is saved as those coordinates.
 
 Point and graph instances are metrics by construction. Each records a
 relative rounding bound, and MetricInstance.violations(tol) re-checks
 the triangle inequality only at tol below it, where rounding could
-show; every other cross matrix is validated.
+show; there a point instance's metric over all its points is built for
+that check alone. Every other cross matrix is validated.
 
 scipy is imported by the functions that need it, so importing this
-module (and the command line) does not load it.
+module (and the command line) does not load it; scipy.sparse loads only
+for graphs and for validating metrics over more than 64 points.
 """
 
 import csv
@@ -196,11 +198,13 @@ class MetricInstance:
     A cross given with a dist and no locations has shape (n+m, n+m),
     clients first, and takes locations = (arange(n), arange(n, n + m)).
     With points = (client_points, facility_points, norm), norm 1, 2 or
-    inf, both cross and dist are derived from the coordinates.
+    inf, dist is derived from the coordinates and there is no cross:
+    the metric over all n + m points is built only where validation
+    needs it.
 
-    A dist given with a cross (or a dist or cross given with points)
-    must be bit-equal to the derived one, so dataclasses.replace works
-    on every instance.
+    A dist given with a cross or with points must be bit-equal to the
+    derived one, so dataclasses.replace works on every instance; a
+    cross given with points is rejected.
 
     The constructor copies the arrays it is given, so the caller's stay
     writeable and unshared; the instance's own arrays are read-only.
@@ -242,34 +246,24 @@ class MetricInstance:
                     raise BadParams("%s differs from the one derived from points or cross" % name)
 
     def _derive_from_points(self) -> dict:
-        """Set points, cross and dist from the given points; return the
-        matrices the caller passed too. cdist's output needs none of the
-        bare-matrix guards: it is nonnegative and, once symmetrized with
-        a zero diagonal, has dist as its block. Only coordinates so far
-        apart that a distance overflows are rejected."""
-        if self.locations is not None:
-            raise BadParams("an instance takes points or locations, not both")
+        """Set points and dist = cdist(clients, facilities) from the given
+        points; return the dist the caller passed too. cdist's output
+        needs none of the bare-matrix guards: it is nonnegative. Only
+        coordinates so far apart that a client-facility distance
+        overflows are rejected."""
+        if self.locations is not None or self.cross is not None:
+            raise BadParams("an instance takes points, or a cross matrix, not both")
         from scipy.spatial.distance import cdist
 
         points = _as_points(self.points)
-        n = len(points[0])
-        if n < 1 or len(points[1]) < 1:
+        if len(points[0]) < 1 or len(points[1]) < 1:
             raise BadParams("instance needs at least one client and one facility")
-        everything = np.vstack(points[:2])
-        cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
-        # cdist output can be asymmetric in the last ulp; symmetrize
-        # here so that dist matches cross exactly
-        cross = (cross + cross.T) / 2.0
-        np.fill_diagonal(cross, 0.0)
-        dist = cross[:n, n:].copy()
-        if not np.isfinite(cross).all():
+        dist = cdist(points[0], points[1], metric=_NORM_NAMES[points[2]])
+        if not np.isfinite(dist.max()):  # nonnegative: the maximum is finite iff all are
             _check_entries(dist, "dist")
-            _check_entries(cross, "cross")
-        cross.setflags(write=False)
         dist.setflags(write=False)
-        given = {"dist": self.dist, "cross": self.cross}
+        given = {"dist": self.dist}
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "cross", cross)
         object.__setattr__(self, "dist", dist)
         dim = points[0].shape[1]
         if dim < 2**20:  # where the bound's proof holds (see violations)
@@ -326,23 +320,26 @@ class MetricInstance:
 
     @property
     def metric_verified(self) -> bool:
-        """True when cross distances are present, so triangle checks can
-        run. Those of a point or graph instance form a metric by
-        construction, and violations(tol) skips re-checking them at any
-        tol the rounding allows; other cross matrices are validated."""
-        return self.cross is not None
+        """True when the instance has points or cross distances, so
+        triangle checks can run. Those of a point or graph instance form
+        a metric by construction, and violations(tol) skips re-checking
+        them at any tol the rounding allows; other cross matrices are
+        validated."""
+        return self.points is not None or self.cross is not None
 
     def violations(self, tol: float = 1e-9) -> list:
         """validate_metric(self, tol), computed on the first call only.
 
-        Cross distances derived from points or from a graph are a metric
-        up to rounding. Such an instance carries a relative rounding
-        bound b, and at tol >= b this returns [] without validating: as
-        shown below, validate_metric finds nothing there. A tol below b
-        (0 among them; negative and NaN tol too), an instance with no
+        Distances derived from points or from a graph are a metric up
+        to rounding. Such an instance carries a relative rounding bound
+        b, and at tol >= b this returns [] without validating: as shown
+        below, validate_metric finds nothing there. A tol below b (0
+        among them; negative and NaN tol too), an instance with no
         bound (bare matrices, tight families, loaded located files) and
         a graph instance passed through dataclasses.replace are
-        validated. b is (2 dim + 8) u for points in dim coordinates and
+        validated; a point instance, which keeps no cross matrix, on the
+        metric over all its points that validate_metric builds for the
+        call. b is (2 dim + 8) u for points in dim coordinates and
         (2 V + 4) u for a graph on V vertices, with u = 2**-53.
 
         Why b suffices. Let each stored distance c be within a relative
@@ -362,11 +359,13 @@ class MetricInstance:
           (dim - 1) u: delta <= dim u. L2 squares them (2u more), sums,
           and takes a square root, which halves the relative error and
           adds u: delta <= (dim/2 + 2) u. Linf takes a maximum:
-          delta <= u. Symmetrizing (c + c.T) / 2 adds u, so delta <=
-          (dim + 1) u, and 2 delta + u <= (2 dim + 3) u. Squares that
-          underflow add an absolute error below 2**-500 per distance,
-          which the 1 in the scale absorbs. A coordinate dimension of
-          2**20 or more gets no bound.
+          delta <= u. The metric over all points that validate_metric
+          checks averages (c + c.T) / 2 where cdist's output is not
+          symmetric, adding u, so delta <= (dim + 1) u, and 2 delta + u
+          <= (2 dim + 3) u. Squares that underflow add an absolute
+          error below 2**-500 per distance, which the 1 in the scale
+          absorbs. A coordinate dimension of 2**20 or more gets no
+          bound.
         - Graphs: Dijkstra settles a vertex at the rounded running sum
           along some path of at most V - 1 positive edges, at least
           (1 - (V - 2) u) times that path's length, so at least
@@ -400,13 +399,34 @@ class MetricInstance:
         )
 
 
+def _point_cross(points) -> np.ndarray:
+    """The metric over all n + m points of a point instance, clients
+    first: cdist over every point, averaged as (c + c.T) / 2 wherever it
+    is not exactly symmetric, with a zero diagonal. Its client-facility
+    block is the instance's dist, bit for bit. Raises NonFinite where a
+    distance between two points overflows."""
+    from scipy.spatial.distance import cdist
+
+    everything = np.vstack(points[:2])
+    cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
+    odd = cross != cross.T
+    if odd.any():
+        cross[odd] = (cross[odd] + cross.T[odd]) / 2.0
+    np.fill_diagonal(cross, 0.0)
+    if not np.isfinite(cross.max()):
+        _check_entries(cross, "cross")
+    return cross
+
+
 def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     """Check every triangle inequality of the cross matrix.
 
     Returns a list of Violation records, empty when the instance is a
     genuine metric up to relative tolerance, ordered by middle point and
-    then row-major by (x, z). Requires cross distances. Symmetry and the
-    zero diagonal hold already: the constructor makes cross exactly
+    then row-major by (x, z). Requires points or cross distances; a
+    point instance's metric over all its points is built here
+    (_point_cross) and dropped afterwards. Symmetry and the zero
+    diagonal hold already: the constructor makes cross exactly
     symmetric and rejects a nonzero diagonal.
 
     (x, y, z) with x < z, y not in {x, z}, is violated when, with every
@@ -425,20 +445,24 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     u*(c + tau)), so every violated pair is flagged. Pairs flagged but
     not violated, such as a chain of sub-tolerance shortcuts that add
     up past the threshold, fail the exact test and are dropped. A
-    negative or NaN tol flags every pair.
+    negative or NaN tol flags every pair, and so does a matrix of at
+    most 64 points, whose N**3 cells the exact test covers in one block.
 
     Zero off-diagonal distances (shared locations, repeated graph
     vertices) must stay edges of length 0. A dense matrix given to
     shortest_path reads them as missing edges, so the closure is built
     from a sparse graph whose only missing entries are inf.
     """
-    if instance.cross is None:
+    if instance.points is not None:
+        cross = _point_cross(instance.points)
+    elif instance.cross is None:
         raise MissingCrossDistances(
-            "validate_metric needs the full cross-distance matrix"
+            "validate_metric needs points or a cross-distance matrix"
         )
-    cross = instance.cross
+    else:
+        cross = instance.cross
     size = cross.shape[0]
-    if tol >= 0:
+    if tol >= 0 and size**3 > _RECHECK_CELLS:
         from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
         closure = shortest_path(

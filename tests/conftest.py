@@ -11,6 +11,7 @@ from centrum import (
     build_from_points,
     gen_tight_triple,
 )
+from centrum.metric import _point_cross
 
 settings.register_profile(
     "suite",
@@ -101,15 +102,28 @@ def metric_instances():
     return st.one_of(point_instances(), graph_instances())
 
 
+def metric_matrix(inst):
+    """inst's cross matrix, or for a point instance, which keeps none,
+    the metric over all its points that validate_metric builds."""
+    if inst.points is not None:
+        return _point_cross(inst.points)
+    return inst.cross
+
+
 def expanded(inst):
     """inst with one cross row per point, clients first, then
-    facilities: a located instance's location rows repeated per point."""
-    if inst.locations is None:
+    facilities: a located instance's location rows repeated per point,
+    a point instance's metric over all its points."""
+    if inst.points is not None:
+        cross = metric_matrix(inst)
+    elif inst.locations is not None:
+        rows = np.concatenate(inst.locations)
+        cross = inst.cross[np.ix_(rows, rows)]
+    else:
         return inst
-    rows = np.concatenate(inst.locations)
     return MetricInstance(
         dist=inst.dist,
-        cross=inst.cross[np.ix_(rows, rows)],
+        cross=cross,
         client_labels=inst.client_labels,
         facility_labels=inst.facility_labels,
     )

@@ -1,11 +1,15 @@
 """Worst-case families and random instance generators."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import centrum
 from centrum import (
     check_inequalities,
     cost_profile,
@@ -152,14 +156,61 @@ class TestTightTriple:
         assert peak <= 5_000_000
 
 
+class TestTripleLocationMetric:
+    def test_equals_dijkstra_bit_for_bit(self):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        from centrum.generators import _TRIPLE_EDGES, triple_location_metric
+
+        labels, cross = triple_location_metric()
+        index = {v: i for i, v in enumerate(labels)}
+        adj = np.zeros((6, 6))
+        for u, v, w in _TRIPLE_EDGES:
+            adj[index[u], index[v]] = adj[index[v], index[u]] = w
+        expected = shortest_path(csr_matrix(adj), method="D", directed=False)
+        assert cross.tobytes() == expected.tobytes()
+
+    def test_tight_family_checks_load_no_scipy_sparse(self):
+        script = (
+            "import sys\n"
+            "from centrum import check_inequalities, gen_tight_triple, select_multi_graph\n"
+            "inst = gen_tight_triple(10, 600)\n"
+            "select_multi_graph(inst, (1, 10, 600))\n"
+            "report = check_inequalities(inst, (1, 10, 600))\n"
+            "assert report.checks['metric_axioms'].comparisons == 1\n"
+            "assert inst.violations(0.0) == [] and inst.violations(-1.0)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(centrum.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+
 class TestRandomEuclidean:
+    def test_memory_is_the_client_facility_matrix(self):
+        # the metric over all 200,020 points would take 320 GB; the
+        # instance keeps dist, 32 MB, and the coordinates
+        tracemalloc.start()
+        try:
+            inst = gen_random_euclidean(2 * 10**5, 20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.dist.shape == (2 * 10**5, 20)
+        assert peak <= 2.5 * inst.dist.nbytes
+
     def test_shape_and_determinism(self):
         a = gen_random_euclidean(50, 10, dim=2, seed=7)
         b = gen_random_euclidean(50, 10, dim=2, seed=7)
         assert a.n_clients == 50
         assert a.m_facilities == 10
         assert np.array_equal(a.dist, b.dist)
-        assert np.array_equal(a.cross, b.cross)
+        assert a.cross is None and b.cross is None
+        assert all(np.array_equal(u, v) for u, v in zip(a.points[:2], b.points[:2]))
 
     def test_different_seeds_differ(self):
         a = gen_random_euclidean(20, 5, dim=2, seed=1)

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from centrum.jsonutil import dumps, format_float
@@ -70,6 +71,73 @@ class TestNumericRows:
         text = dumps(row)
         assert text == elementwise(row)
         assert json.loads(text) == row
+
+
+def rowwise(mat, level=0):
+    """The matrix as _emit wrote it one row at a time before matrices
+    were formatted at once, at nesting depth level."""
+    pad, inner = "  " * level, "  " * (level + 1)
+    return "[\n" + ",\n".join(inner + elementwise(row.tolist()) for row in mat) + "\n" + pad + "]"
+
+
+_MATRIX_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**60, 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, np.nextafter(1e16, 0), np.nextafter(-1e16, 0),
+                     1e16 + 2, 0.5, 5e-324]),
+)
+
+
+@st.composite
+def float_matrices(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(rows, cols), (1, cols), (rows, 1)]))
+    values = draw(st.lists(_MATRIX_VALUES, min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+class TestMatrices:
+    """2-d float arrays, formatted at once, against the row path."""
+
+    @given(float_matrices())
+    def test_same_bytes_as_the_row_path(self, mat):
+        assert dumps(mat) == rowwise(mat)
+        assert dumps({"m": mat}) == '{\n  "m": ' + rowwise(mat, 1) + "\n}"
+
+    def test_random_and_integral_matrices(self):
+        rng = np.random.default_rng(3)
+        for shape in ((1, 7), (7, 1), (300, 2), (40, 33)):
+            for mat in (rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape),
+                        np.trunc(rng.normal(size=shape) * 1e17),
+                        rng.integers(-100, 100, size=shape).astype(float)):
+                mat.flat[0] = -0.0
+                assert dumps(mat) == rowwise(mat)
+
+    def test_edge_values(self):
+        mat = np.array(EDGE_FLOATS[:16]).reshape(4, 4)
+        assert dumps(mat) == rowwise(mat)
+
+    @pytest.mark.parametrize("cells", [1, 5, 6, 7, 1 << 16])
+    def test_blocks_of_rows(self, cells, monkeypatch):
+        import centrum.jsonutil as jsonutil_mod
+
+        monkeypatch.setattr(jsonutil_mod, "_FORMAT_CELLS", cells)
+        mat = np.arange(42, dtype=float).reshape(7, 6) / 3.0
+        assert dumps(mat) == rowwise(mat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_row(self, bad):
+        mat = np.arange(12, dtype=float).reshape(4, 3) / 7.0
+        mat[2, 1] = bad
+        assert dumps(mat) == rowwise(mat)
+        assert format_float(bad) in dumps(mat).splitlines()[3]
+
+    def test_other_arrays_keep_the_row_path(self):
+        for mat in (np.arange(6).reshape(2, 3), np.zeros((2, 0)),
+                    np.array([[True, False]]), np.ones((2, 2), dtype=np.float32) / 3):
+            assert dumps(mat) == rowwise(mat)
+        assert dumps(np.zeros((0, 2))) == "[]"
 
 
 class TestDumpPath:

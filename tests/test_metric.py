@@ -43,13 +43,20 @@ from centrum.errors import (
     TriangleViolation,
 )
 
-from conftest import expanded, graph_instances, metric_instances, point_instances
+from conftest import (
+    expanded,
+    graph_instances,
+    metric_instances,
+    metric_matrix,
+    point_instances,
+)
 
 
 def loop_validate(instance, tol=1e-9):
     """The full O(N^3) enumeration that validate_metric's gate replaced,
-    kept as the differential oracle: (kind, points, slack) per record."""
-    cross = instance.cross
+    kept as the differential oracle: (kind, points, slack) per record.
+    A point instance is checked on its metric over all points."""
+    cross = metric_matrix(instance)
     size = cross.shape[0]
     label = instance.point_label
     out = []
@@ -73,6 +80,19 @@ def loop_validate(instance, tol=1e-9):
 
 def records(violations):
     return [(v.kind, v.points, v.slack) for v in violations]
+
+
+def gated(instance, tol=1e-9):
+    """validate_metric with its compiled closure gate on at every size:
+    it is skipped at 64 points or fewer, which most cases here are."""
+    import centrum.metric as metric_mod
+
+    saved = metric_mod._RECHECK_CELLS
+    metric_mod._RECHECK_CELLS = 1  # one (x, z) pair per recheck block
+    try:
+        return validate_metric(instance, tol=tol)
+    finally:
+        metric_mod._RECHECK_CELLS = saved
 
 
 def with_cross(cross, n):
@@ -257,15 +277,18 @@ class TestBuildFromPoints:
 
     @given(point_instances())
     def test_matches_the_cdist_recipe(self, inst):
-        """The matrices the builder computed before instances kept their
-        points: cdist over all points, symmetrized, zero diagonal."""
+        """The matrices the builder computed before instances kept only
+        their points and dist: cdist over all points, symmetrized, zero
+        diagonal. validate_metric's matrix is that one, and dist is its
+        client-facility block."""
         cpts, fpts, norm = inst.points
         everything = np.vstack([cpts, fpts])
         metric = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}[norm]
         cross = cdist(everything, everything, metric=metric)
         cross = (cross + cross.T) / 2.0
         np.fill_diagonal(cross, 0.0)
-        assert inst.cross.tobytes() == cross.tobytes()
+        assert inst.cross is None
+        assert metric_matrix(inst).tobytes() == cross.tobytes()
         assert inst.dist.tobytes() == cross[:len(cpts), len(cpts):].tobytes()
         assert inst.metric_verified
 
@@ -289,20 +312,24 @@ class TestPointsField:
             assert norm == stored and type(norm) is type(stored)
 
     def test_constructor_derives_both_matrices(self):
+        # dist is kept; the metric over all points is built on demand
         inst = MetricInstance(points=([[0.0], [4.0]], [[1.0]], 1))
         assert inst.dist.tolist() == [[1.0], [3.0]]
-        assert inst.cross.tolist() == [[0.0, 4.0, 1.0], [4.0, 0.0, 3.0], [1.0, 3.0, 0.0]]
-        assert inst.violations() == []
+        assert inst.cross is None
+        assert metric_matrix(inst).tolist() == [[0.0, 4.0, 1.0], [4.0, 0.0, 3.0], [1.0, 3.0, 0.0]]
+        assert inst.violations() == [] and inst.violations(0.0) == []
 
     def test_points_with_other_matrices_rejected(self):
         points = ([[0.0], [4.0]], [[1.0]], 2)
-        cross = MetricInstance(points=points).cross
+        cross = metric_matrix(MetricInstance(points=points))
         for changes in (
             {"dist": [[1.0], [3.5]]},
             {"dist": [[1.0, 1.0], [3.0, 3.0]]},
+            {"cross": cross},
             {"cross": cross + 0.5 * (1 - np.eye(3))},
             {"cross": cross[:2, :2]},
             {"cross": cross, "locations": ([0, 1], [2])},
+            {"locations": ([0, 1], [2])},
         ):
             with pytest.raises(BadParams):
                 MetricInstance(points=points, **changes)
@@ -325,14 +352,26 @@ class TestPointsField:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_and_empty_sides_rejected(self):
-        # symmetrizing (c + c.T) / 2 overflows from 2**1023 on
+        # a client-facility distance of 2e308 overflows
         with pytest.raises(NonFinite, match=r"^dist\[0\]\[0\] is not finite"):
             MetricInstance(points=([[1e308]], [[-1e308]], 2))
-        with pytest.raises(NonFinite, match=r"^cross\[0\]\[1\] is not finite"):
-            MetricInstance(points=([[5e307], [-5e307]], [[0.0]], 1))
         for points in (([], [[1.0]], 2), ([[0.0]], np.zeros((0, 1)), 2)):
             with pytest.raises(BadParams, match="at least one client and one facility"):
                 MetricInstance(points=points)
+
+    def test_distances_up_to_the_largest_float(self):
+        # the clients are 1e308 apart, the facility 5e307 from each; the
+        # symmetrized (c + c.T) / 2 of every point pair overflowed here
+        inst = build_from_points([[5e307], [-5e307]], [[0.0]], norm=1)
+        assert inst.dist.tolist() == [[5e307], [5e307]]
+        assert metric_matrix(inst)[0, 1] == 1e308
+        assert inst.violations(0.0) == []
+        # two clients 2e308 apart build; that distance fails when read
+        far = build_from_points([[1e308], [-1e308]], [[0.0]], norm=1)
+        assert far.dist.tolist() == [[1e308], [1e308]]
+        assert far.violations() == []  # skipped: at or above the rounding bound
+        with pytest.raises(NonFinite, match=r"^cross\[0\]\[1\] is not finite"):
+            far.violations(0.0)
 
     def test_bad_norm_rejected(self):
         for norm in (3, 0, -1, "two", "Inf", None, [2], float("nan")):
@@ -357,7 +396,8 @@ class TestReplace:
         again = dataclasses.replace(inst, provenance={"family": "renamed"})
         assert again.provenance == {"family": "renamed"}
         assert again.dist.tobytes() == inst.dist.tobytes()
-        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert (again.cross is None) == (inst.points is not None)
+        assert metric_matrix(again).tobytes() == metric_matrix(inst).tobytes()
         assert again.client_labels == inst.client_labels
         assert again.facility_labels == inst.facility_labels
 
@@ -369,7 +409,9 @@ class TestReplace:
             dist[0, 0] = np.nextafter(dist[0, 0], np.inf)
             with pytest.raises(BadParams):
                 dataclasses.replace(inst, dist=dist)
-        cross = euclid.cross.copy()
+        cross = metric_matrix(euclid)
+        with pytest.raises(BadParams):  # a point instance takes no cross at all
+            dataclasses.replace(euclid, cross=cross)
         cross[0, 1] = cross[1, 0] = np.nextafter(cross[0, 1], np.inf)
         with pytest.raises(BadParams):
             dataclasses.replace(euclid, cross=cross)
@@ -542,12 +584,16 @@ class TestValidateMetricOracle:
 
     @given(base_metrics(), _TOLS)
     def test_metric_families(self, inst, tol):
-        assert records(validate_metric(inst, tol=tol)) == loop_validate(inst, tol)
+        expected = loop_validate(inst, tol)
+        assert records(validate_metric(inst, tol=tol)) == expected
+        assert records(gated(inst, tol)) == expected
 
     @given(near_metrics())
     def test_violations_at_the_tolerance(self, case):
         inst, tol = case
-        assert records(validate_metric(inst, tol=tol)) == loop_validate(inst, tol)
+        expected = loop_validate(inst, tol)
+        assert records(validate_metric(inst, tol=tol)) == expected
+        assert records(gated(inst, tol)) == expected
 
     @given(sub_tolerance_chains())
     def test_chains_flagged_by_closure_but_clean(self, case):
@@ -556,6 +602,7 @@ class TestValidateMetricOracle:
         assert np.any(closure < inst.cross - tol * np.maximum(1.0, inst.cross))
         assert loop_validate(inst, tol) == []
         assert validate_metric(inst, tol=tol) == []
+        assert gated(inst, tol) == []
 
     @pytest.mark.parametrize("cells", [100, 1 << 18])
     def test_many_violations_keep_enumeration_order(self, cells, monkeypatch):
@@ -587,6 +634,7 @@ class TestZeroDistances:
         cross = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         inst = with_cross(cross, 1)
         assert records(validate_metric(inst)) == [("triangle", ("c0", "f0", "f1"), 1.0)]
+        assert records(gated(inst)) == [("triangle", ("c0", "f0", "f1"), 1.0)]
         with pytest.raises(TriangleViolation):
             build_from_matrix(cross[:1, 1:], cross=cross)
 
@@ -594,12 +642,13 @@ class TestZeroDistances:
         # facility i sits on client i; stretching one client-facility
         # distance breaks the triangle through the co-located point
         inst = gen_random_euclidean(6, None, dim=2, seed=3, shared=True)
-        cross = inst.cross.copy()
+        cross = metric_matrix(inst)
         cross[0, 6 + 1] = cross[6 + 1, 0] = cross[0, 1] + 0.5
         moved = with_cross(cross, 6)
         expected = loop_validate(moved)
         assert ("triangle", ("c0", "c1", "f1"), pytest.approx(0.5)) in expected
         assert records(validate_metric(moved)) == expected
+        assert records(gated(moved)) == expected
 
     def test_repeated_graph_vertices(self):
         inst = expanded(build_from_graph(
@@ -613,6 +662,7 @@ class TestZeroDistances:
         expected = loop_validate(moved)
         assert expected
         assert records(validate_metric(moved)) == expected
+        assert records(gated(moved)) == expected
 
 
 class TestValidateOnce:
@@ -712,6 +762,13 @@ class TestRoundingBound:
         assert bound == (2 * inst.points[0].shape[1] + 8) * 2.0**-53
         assert validate_metric(inst, tol=bound) == []
 
+    @given(scaled_points(), st.sampled_from([0.0, 1e-300, -1.0]))
+    def test_points_below_the_bound_match_the_enumeration(self, inst, tol):
+        # validated on the metric over all points, built for the call;
+        # the old loop also listed every pair as asymmetric at tol < 0
+        expected = [r for r in loop_validate(inst, tol) if r[0] == "triangle"]
+        assert records(inst.violations(tol)) == expected
+
     @given(weighted_graphs())
     def test_graphs_hold_within_the_bound(self, inst):
         bound = inst._rounding
@@ -760,7 +817,7 @@ class TestRoundingBound:
         # replace cannot carry the graph's bound, so that copy validates again
         assert dataclasses.replace(graph, provenance={})._rounding is None
         assert MetricInstance(cross=graph.cross, locations=graph.locations)._rounding is None
-        assert with_cross(euclid.cross, 6)._rounding is None
+        assert with_cross(metric_matrix(euclid), 6)._rounding is None
         assert gen_tight_triple(3, 12)._rounding is None
         with pytest.raises(TypeError):
             MetricInstance(dist=[[1.0]], _rounding=1.0)
@@ -813,8 +870,7 @@ class TestCallerArrays:
     def test_points(self):
         cpts, fpts = np.array([[0.0, 1.0], [2.0, 2.0]]), np.array([[1.0, 0.0]])
         inst = build_from_points(cpts, fpts)
-        for arr in (inst.dist, inst.cross):
-            assert not arr.flags.writeable
+        assert not inst.dist.flags.writeable and inst.cross is None
         self.assert_owned(cpts, inst.points[0])
         self.assert_owned(fpts, inst.points[1])
 
@@ -826,7 +882,8 @@ class TestSerialization:
         save_instance(inst, path)
         again = load_instance(path)
         assert again.dist.tobytes() == inst.dist.tobytes()
-        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert again.cross is None
+        assert metric_matrix(again).tobytes() == metric_matrix(inst).tobytes()
         assert again.client_labels == inst.client_labels
 
     def test_load_point_cloud_document(self, tmp_path):
@@ -892,7 +949,8 @@ class TestSerialization:
         }))
         again = instance_from_dict(doc)
         assert np.array_equal(again.dist, inst.dist)
-        assert np.array_equal(again.cross, inst.cross)
+        assert again.cross is None
+        assert np.array_equal(metric_matrix(again), metric_matrix(inst))
 
 
 def _reloaded(inst, tmp_path):
@@ -974,7 +1032,8 @@ class TestLocationsFile:
         inst = self.FAMILIES[family]()
         again = _reloaded(inst, tmp_path)
         assert again.dist.tobytes() == inst.dist.tobytes()
-        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert (again.cross is None) == (inst.cross is None)
+        assert metric_matrix(again).tobytes() == metric_matrix(inst).tobytes()
         if inst.locations is None:
             assert again.locations is None
         else:
@@ -1080,7 +1139,8 @@ class TestPointsFile:
         assert doc["schema"] == 1
         again = _reloaded(inst, tmp_path)
         assert again.dist.tobytes() == inst.dist.tobytes()
-        assert again.cross.tobytes() == inst.cross.tobytes()
+        assert again.cross is None
+        assert metric_matrix(again).tobytes() == metric_matrix(inst).tobytes()
         assert again.points[2] == inst.points[2]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again.points[:2], inst.points[:2]))
         assert again.client_labels == inst.client_labels
@@ -1099,7 +1159,7 @@ class TestPointsFile:
         """The document of the same instance as cross and dist matrices."""
         return {"schema": 1, "clients": list(inst.client_labels),
                 "facilities": list(inst.facility_labels),
-                "dist": inst.dist, "cross": inst.cross, "provenance": inst.provenance}
+                "dist": inst.dist, "cross": metric_matrix(inst), "provenance": inst.provenance}
 
     def test_commands_match_the_matrix_document(self, tmp_path, capsys):
         inst = gen_random_euclidean(12, 5, dim=3, seed=7)
