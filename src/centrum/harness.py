@@ -27,7 +27,7 @@ from .generators import (
     gen_tight_triple,
 )
 from .jsonutil import dump_path
-from .objectives import cost_profile, graph_from_profile
+from .objectives import _client_runs, _run_sums, cost_profile, graph_from_profile
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
 _VIOLATION_CAP = 25  # per check, to keep reports readable
@@ -215,6 +215,44 @@ def _cycle_table(q: int) -> tuple:
     return cycles, tails, heads, beta
 
 
+def _farthest_runs(instance, runs, selector: int) -> tuple:
+    """The clients from farthest to nearest to one facility, ties by
+    client index (a stable argsort of the negated distances, as the
+    plain subset-sum check takes them), as runs of consecutive clients
+    at one location: (cross rows, counts).
+
+    runs is _client_runs(instance). A location whose distance no other
+    one shares is one run. The clients of tied locations are taken in
+    index order from the instance's blocks of consecutive co-located
+    clients, in one pass over those blocks; they are grouped by distance
+    with a stable sort when more than one distance is tied, and
+    neighbouring blocks at one location are joined.
+    """
+    rows, counts, local = runs
+    col = local[:, selector]
+    order = np.argsort(-col, kind="stable")
+    rows, counts, col = rows[order], counts[order], col[order]
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    sizes = np.diff(np.r_[starts, col.size])
+    if sizes.max() == 1:
+        return rows, counts
+    alone = np.repeat(sizes == 1, sizes)
+    # a tied location's key is its group's first position in the order
+    key = np.full(len(instance.cross), -1)
+    key[rows[~alone]] = np.repeat(starts, sizes)[~alone]
+    block_rows, block_lengths = instance._client_blocks
+    tied = key[block_rows] >= 0
+    block_rows, block_lengths = block_rows[tied], block_lengths[tied]
+    if np.count_nonzero(sizes > 1) > 1:
+        by_group = np.argsort(key[block_rows], kind="stable")
+        block_rows, block_lengths = block_rows[by_group], block_lengths[by_group]
+    cut = np.flatnonzero(np.r_[True, block_rows[1:] != block_rows[:-1]])
+    tied_rows, tied_counts = block_rows[cut], np.add.reduceat(block_lengths, cut)
+    # untied locations keep their position; tied runs sit at their group's
+    merged = np.argsort(np.r_[np.flatnonzero(alone), key[tied_rows]], kind="stable")
+    return np.r_[rows[alone], tied_rows][merged], np.r_[counts[alone], tied_counts][merged]
+
+
 def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
     """Run every structural inequality on one instance.
 
@@ -298,18 +336,28 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
 
     # any p distinct clients sum to at most the objective-p cost; the
     # extremal candidates are the p clients farthest from some facility
-    dist = instance.dist
     worst = np.empty((m, q), dtype=np.intp)
     top = np.empty((m, q))
-    step = max(1, _SUBSET_BLOCK_CELLS // dist.size)
-    for a in range(0, m, step):
-        block = slice(a, a + step)
-        order = np.argsort(-dist[:, block], axis=0, kind="stable")
-        prefix = dist[order.T]  # (selectors, n, m), farthest clients first
-        np.cumsum(prefix, axis=1, out=prefix)
-        slack = _rel(prefix[:, ranks - 1, :], costs)
-        worst[block] = np.argmax(slack, axis=2)
-        top[block] = np.take_along_axis(slack, worst[block, :, None], axis=2)[..., 0]
+    runs = _client_runs(instance)
+    if runs is None:
+        dist = instance.dist
+        step = max(1, _SUBSET_BLOCK_CELLS // dist.size)
+        for a in range(0, m, step):
+            block = slice(a, a + step)
+            order = np.argsort(-dist[:, block], axis=0, kind="stable")
+            prefix = dist[order.T]  # (selectors, n, m), farthest clients first
+            np.cumsum(prefix, axis=1, out=prefix)
+            slack = _rel(prefix[:, ranks - 1, :], costs)
+            worst[block] = np.argmax(slack, axis=2)
+            top[block] = np.take_along_axis(slack, worst[block, :, None], axis=2)[..., 0]
+    else:
+        for a in range(m):
+            rows, counts = _farthest_runs(instance, runs, a)
+            local = instance.cross[np.ix_(rows, instance.locations[1])]
+            prefix = np.array([_run_sums(local[:, f], counts, ks) for f in range(m)]).T
+            slack = _rel(prefix, costs)
+            worst[a] = np.argmax(slack, axis=1)
+            top[a] = np.take_along_axis(slack, worst[a, :, None], axis=1)[:, 0]
     record(
         "subset_sum_domination",
         top.ravel(),

@@ -25,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -317,6 +318,23 @@ class MetricInstance:
     @property
     def m_facilities(self) -> int:
         return self.dist.shape[1]
+
+    @cached_property
+    def _client_counts(self) -> np.ndarray | None:
+        """Clients on each cross row (a bincount of the client
+        locations); None for an instance without locations."""
+        if self.locations is None:
+            return None
+        return np.bincount(self.locations[0], minlength=len(self.cross))
+
+    @cached_property
+    def _client_blocks(self) -> tuple:
+        """The client locations run-length encoded in client order:
+        (cross rows, lengths) of the blocks of consecutive clients at
+        one location. Needs locations."""
+        locs = self.locations[0]
+        starts = np.flatnonzero(np.r_[True, locs[1:] != locs[:-1]])
+        return locs[starts], np.diff(np.r_[starts, locs.size])
 
     @property
     def metric_verified(self) -> bool:

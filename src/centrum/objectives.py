@@ -1,13 +1,33 @@
 """Top-k objective costs, optima, ratios, and the ratio graph.
 
 The cost of facility A under objective k is the sum of the k largest
-client distances to A. Every cost in this module is computed by the
-same routine (sort the column descending, running sum), so two costs
-of the same column are bitwise comparable and an approximation ratio
-can never dip below 1 through float noise. Every ratio comes from
-CostProfile.ratios, the one place a zero optimum is handled.
+client distances to A: the k-th entry of the running sum of A's
+column sorted descending, added left to right as np.cumsum adds. Every
+cost in this module comes from the one kernel, _topk_costs, so two
+costs of the same column are bitwise comparable and an approximation
+ratio can never dip below 1 through float noise. A cost that
+overflows raises NonFinite. Every ratio comes from CostProfile.ratios,
+the one place a zero optimum is handled.
+
+The kernel has two forms with the same bits. The plain form sorts the
+n client rows. The run form serves a located instance whose longest
+run of co-located clients reaches RUN_FORM_MIN_CLIENTS: a column then
+holds one distance per client location, repeated once per client
+there, so the sorted column is a list of runs (value v, count c). Short
+runs are expanded into np.cumsum from the carried total; a long run is
+added by _repeat_add, which gives the running sum after t additions of
+v in O(binades) steps, bit for bit. Its argument: while the running
+sum s stays in one binade, every sum is rounded to the same grid of
+spacing u = ulp(s), so each step adds a multiple of u, fixed by where v
+falls between grid points. Only an exact half-step depends on the
+parity of s, and round-half-even leaves s even after one step, so once
+two consecutive steps add the same d, every later step adds d while
+the sum stays below the binade's top, and t steps give the exact
+s + t*d. Repeated addition of one value never depends on how the
+clients were stored, so costs are bit-identical in both forms.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +39,19 @@ from .errors import (
     DegenerateOptimum,
     InvalidObjectiveSet,
     KOutOfRange,
+    NonFinite,
 )
+
+# A located instance takes the run form of the top-k kernel once one
+# location holds this many clients. Measured on a 2-core x86 box: the
+# forms break even near 8000 clients on one location for the tight
+# triple (3 client locations) and for 2000 singletons beside one large
+# location. 50 graph vertices with 10**3 clients each already run the
+# profile 5x faster, so the constant errs toward the plain form.
+RUN_FORM_MIN_CLIENTS = 8192
+# Within the run form, runs shorter than this are expanded into
+# np.cumsum; longer ones are added by _repeat_add.
+_SHORT_RUN = 64
 
 
 @dataclass(frozen=True)
@@ -73,21 +105,139 @@ def _check_facility(instance, facility) -> int:
     return int(facility)
 
 
-def _topk_costs(dist: np.ndarray, ks) -> np.ndarray:
-    """Sum of the k largest entries of every column for each k, shape (m, q).
+def _repeat_add(total, value: float, count: int):
+    """total after count steps of total = total + value, each rounded
+    as float64 addition rounds, in O(binades) steps; None as total
+    means no sum yet, so the first step gives value itself (as
+    np.cumsum keeps its first element). For total and value >= 0,
+    the distances here.
 
-    The only top-k routine: one descending sort of the columns serves
-    all ranks, and row k-1 of the running column sums is the rank-k cost.
+    Steps are taken singly from a zero sum and at each binade edge.
+    Within a binade [2**(e-1), 2**e) of spacing u, once two consecutive
+    steps added the same d (the module docstring says why that settles
+    it), each later step from s adds d while s + d + u <= 2**e, as the
+    two grid points around s + value then both lie in the binade; t such
+    steps give the exact s + t*d. A step that leaves the sum unchanged,
+    or overflows, repeats forever.
     """
-    running = np.cumsum(np.sort(dist, axis=0)[::-1, :], axis=0)
-    return running[np.array(ks) - 1, :].T
+    if count <= 0:
+        return total
+    if total is None:
+        total, count = value, count - 1
+    last = None  # the previous step's increment, within this binade
+    while count > 0:
+        nxt = total + value
+        if nxt == total or math.isinf(nxt):  # nxt: 0.0 + -0.0 is 0.0
+            return nxt
+        e = max(math.frexp(total)[1], -1021)  # subnormals share the grid of 2**-1022
+        if math.frexp(nxt)[1] > e:
+            total, count, last = nxt, count - 1, None
+            continue
+        step = nxt - total  # exact: both in one binade
+        if step != last:
+            total, count, last = nxt, count - 1, step
+            continue
+        # in units of u = 2**(e - 53), the binade's top is 2**53
+        fit = (2**53 - 1 - int(math.ldexp(total, 53 - e))) // int(math.ldexp(step, 53 - e))
+        if fit == 0:
+            total, count = nxt, count - 1
+            continue
+        t = min(fit, count)
+        total, count = total + t * step, count - t
+    return total
+
+
+def _run_sums(values, counts, ranks) -> np.ndarray:
+    """np.cumsum(np.repeat(values, counts))[ranks - 1], bit for bit,
+    without expanding long runs; ranks increasing, from 1 to
+    counts.sum()."""
+    out = np.empty(len(ranks))
+    total, pos, j, i = None, 0, 0, 0
+    for run in np.flatnonzero(counts >= _SHORT_RUN).tolist() + [len(counts)]:
+        if i < run:  # the short runs before this long one, through np.cumsum
+            chunk = np.repeat(values[i:run], counts[i:run])[: ranks[-1] - pos]
+            if total is None:
+                running = np.cumsum(chunk)
+            else:
+                running = np.cumsum(np.concatenate(([total], chunk)))[1:]
+            end = pos + running.size
+            while j < len(ranks) and ranks[j] <= end:
+                out[j] = running[ranks[j] - pos - 1]
+                j += 1
+            total, pos = float(running[-1]), end
+        if j == len(ranks):
+            break
+        value, end = float(values[run]), pos + int(counts[run])
+        while j < len(ranks) and ranks[j] <= end:
+            total = out[j] = _repeat_add(total, value, ranks[j] - pos)
+            pos, j = ranks[j], j + 1
+        if j == len(ranks):
+            break
+        total, pos, i = _repeat_add(total, value, end - pos), end, run + 1
+    return out
+
+
+def _client_runs(instance):
+    """(rows, counts, local) when the run form applies, else None.
+
+    rows are the cross rows holding clients, counts their client
+    counts and local the (rows, facilities) distances. It applies to a
+    located instance whose longest run of co-located clients reaches
+    RUN_FORM_MIN_CLIENTS and whose distances hold no -0.0: np.sort
+    orders -0.0 and 0.0 as it likes, and their sum's sign follows that
+    order.
+    """
+    if instance.n_clients < RUN_FORM_MIN_CLIENTS:
+        return None  # no location can hold that many
+    counts = instance._client_counts
+    if counts is None or counts.max() < RUN_FORM_MIN_CLIENTS:
+        return None
+    rows = np.flatnonzero(counts)
+    local = instance.cross[np.ix_(rows, instance.locations[1])]
+    if np.any(np.signbit(local)):
+        return None
+    return rows, counts[rows], local
+
+
+def _topk_costs(instance, ks, facilities=None) -> np.ndarray:
+    """Sum of the k largest client distances to each facility (all, or
+    the listed indices) for each k in increasing ks, shape (m, q).
+
+    The only top-k kernel. The plain form sorts every column once for
+    all ranks and reads row k-1 of the running column sums; the run
+    form (see the module docstring) gives the same bits from the
+    location runs. Raises NonFinite, naming the facility and the rank,
+    when a requested cost overflows.
+    """
+    cols = slice(None) if facilities is None else list(facilities)
+    runs = _client_runs(instance)
+    with np.errstate(over="ignore"):  # an overflow raises NonFinite below
+        if runs is None:
+            running = np.cumsum(np.sort(instance.dist[:, cols], axis=0)[::-1, :], axis=0)
+            costs = running[np.array(ks) - 1, :].T
+        else:
+            _, counts, local = runs
+            local = local[:, cols]
+            order = np.argsort(-local, axis=0, kind="stable")
+            costs = np.array(
+                [_run_sums(local[order[:, f], f], counts[order[:, f]], ks)
+                 for f in range(local.shape[1])]
+            )
+    if not math.isfinite(costs.max()):  # costs are sums of distances, so >= 0 or inf
+        f, col = np.argwhere(~np.isfinite(costs))[0]
+        facility = f if facilities is None else cols[f]
+        raise NonFinite(
+            "the top-%d cost of facility %s is not finite"
+            % (ks[col], instance.facility_labels[facility])
+        )
+    return costs
 
 
 def centrum_cost(instance, facility: int, k: int) -> float:
     """Sum of the k largest client distances to one facility."""
     k = _check_k(instance, k)
     facility = _check_facility(instance, facility)
-    return float(_topk_costs(instance.dist[:, [facility]], (k,))[0, 0])
+    return float(_topk_costs(instance, (k,), (facility,))[0, 0])
 
 
 def optimal_facility(instance, k: int) -> tuple:
@@ -175,12 +325,10 @@ def cost_profile(instance, objectives) -> CostProfile:
     """Costs for every facility under each objective, plus the optima."""
     objs = _as_objectives(objectives)
     objs.check_against(instance)
-    costs = _topk_costs(instance.dist, objs.ks)
-    optima = []
-    for col in range(costs.shape[1]):
-        best = int(np.argmin(costs[:, col]))
-        optima.append((best, float(costs[best, col])))
-    return CostProfile(ks=objs.ks, costs=costs, optima=tuple(optima))
+    costs = _topk_costs(instance, objs.ks)
+    best = np.argmin(costs, axis=0).tolist()  # the first minimum of each column
+    optima = tuple((b, float(costs[b, col])) for col, b in enumerate(best))
+    return CostProfile(ks=objs.ks, costs=costs, optima=optima)
 
 
 @dataclass(frozen=True, eq=False)

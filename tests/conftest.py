@@ -9,8 +9,10 @@ from centrum import (
     build_from_graph,
     build_from_matrix,
     build_from_points,
+    cost_profile,
     gen_tight_triple,
 )
+from centrum.harness import CheckRecord, _rel
 from centrum.metric import _point_cross
 
 settings.register_profile(
@@ -127,6 +129,36 @@ def expanded(inst):
         client_labels=inst.client_labels,
         facility_labels=inst.facility_labels,
     )
+
+
+def subset_sum_plain(instance, objectives, tol: float = 1e-9) -> dict:
+    """check_inequalities' subset_sum_domination record as the plain
+    form computes it on any instance, kept as the oracle of the run
+    form: per selector, a stable argsort of the negated distances (ties
+    by client index), a gather of every client row and a running sum
+    over all n of them."""
+    profile = cost_profile(instance, objectives)
+    ks, costs, flabels = profile.ks, profile.costs.T, instance.facility_labels
+    ranks = np.array(ks)
+    dist = instance.dist
+    q, m = costs.shape
+    worst = np.empty((m, q), dtype=np.intp)
+    top = np.empty((m, q))
+    for a in range(m):
+        block = slice(a, a + 1)
+        order = np.argsort(-dist[:, block], axis=0, kind="stable")
+        prefix = dist[order.T]  # (1, n, m), farthest clients first
+        np.cumsum(prefix, axis=1, out=prefix)
+        slack = _rel(prefix[:, ranks - 1, :], costs)
+        worst[block] = np.argmax(slack, axis=2)
+        top[block] = np.take_along_axis(slack, worst[block, :, None], axis=2)[..., 0]
+    rec = CheckRecord("subset_sum_domination", instances=1)
+    rec.add_many(
+        top.ravel(),
+        lambda i: {"selector": flabels[i // q], "p": ks[i % q], "facility": flabels[worst.flat[i]]},
+        tol,
+    )
+    return rec.to_jsonable()
 
 
 def draw_pair(data, n: int):

@@ -264,6 +264,23 @@ class TestVerify:
     def test_missing_instance_for_lemmas(self, capsys):
         assert run(["verify", "--suite", "lemmas"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{path}", "--objectives", "1,2"],
+            ["graph", "{path}", "--objectives", "1,2"],
+            ["verify", "--suite", "lemmas", "--instance", "{path}"],
+        ],
+    )
+    def test_overflowing_cost_is_input_error(self, tmp_path, capsys, argv):
+        # the top-2 sum of 1e308 twice overflows; it printed NaN ratios
+        path = tmp_path / "far.json"
+        path.write_text('{"dist": [[1e308], [1e308]]}')
+        assert run([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the top-2 cost of facility f0 is not finite\n"
+        assert captured.out == ""
+
 
 class TestTolOption:
     """--tol takes finite values >= 0; anything else is a usage error."""

@@ -21,16 +21,20 @@ from centrum import (
     gen_tight_triple,
     jsonutil,
     ratio_graph,
+    select_exhaustive,
+    select_largest_objective,
+    select_multi_graph,
+    select_pair,
     sweep_multi,
     sweep_pair,
 )
-from centrum import harness
+from centrum import harness, objectives
 from centrum.bounds import beta_q
 from centrum.errors import BadConfig
 from centrum.harness import CheckRecord, VerificationReport
 from centrum.metric import MetricInstance, build_from_matrix
-from centrum.objectives import cost_profile, graph_from_profile
-from conftest import graph_instances, point_instances, raw_instances
+from centrum.objectives import RUN_FORM_MIN_CLIENTS, _client_runs, cost_profile, graph_from_profile
+from conftest import graph_instances, point_instances, raw_instances, subset_sum_plain
 
 SQRT2 = math.sqrt(2.0)
 BETA3 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -312,6 +316,103 @@ class TestCheckInequalitiesOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 8_010_437
+
+
+class TestRunFormChecks:
+    """Located instances with long runs of co-located clients take the
+    run form of the top-k kernel and of the subset-sum check. Every
+    output equals the plain form's, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
+    @settings(max_examples=60)
+    @given(st.one_of(graph_instances(), _family_instances()), st.data(),
+           st.sampled_from([1e-9, -1.0]), st.sampled_from([1, 64]))
+    def test_matches_loop_at_every_run_length(self, instance, data, tol, short_run):
+        # the run form on every located instance, long runs or not
+        n = instance.n_clients
+        ks = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=min(n, 6)))))
+        expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", 1)
+            mp.setattr(objectives, "_SHORT_RUN", short_run)
+            assert _client_runs(instance) is not None
+            assert _report_bytes(check_inequalities, instance, ks, tol) == expected
+
+    def test_subset_sum_keeps_the_client_order_of_tied_locations(self):
+        # on the line end - A - mid - B with spacing 0.1, A and B are
+        # both 0.1 from mid, and their clients interleave by index; the
+        # end facility's distances (0.1 at A, 0.3 at B) summed in that
+        # order differ, bit for bit, from any order grouped by location
+        u = 0.1
+        cross = np.array([
+            [0.0, 2 * u, u, u],
+            [2 * u, 0.0, u, 3 * u],
+            [u, u, 0.0, 2 * u],
+            [u, 3 * u, 2 * u, 0.0],
+        ])
+        blocks = [(0, 3000), (1, 5000), (0, 6000), (1, 4000), (0, 1), (1, 7)]
+        locs = np.repeat([b for b, _ in blocks], [c for _, c in blocks])
+        assert np.bincount(locs).min() >= RUN_FORM_MIN_CLIENTS
+        inst = MetricInstance(cross=cross, locations=(locs, [2, 3]),
+                              facility_labels=["mid", "end"])
+        assert _client_runs(inst) is not None
+        end = inst.dist[:, 1]
+        by_index = np.cumsum(end)[-1]
+        for first in (0, 1):
+            grouped = np.r_[end[locs == first], end[locs != first]]
+            assert np.cumsum(grouped)[-1] != by_index
+        ks = (1, 3001, 5001, 8001, 14001, locs.size)
+        for tol in (1e-9, -1.0):
+            record = check_inequalities(inst, ks, tol=tol).checks["subset_sum_domination"]
+            assert jsonutil.dumps(record.to_jsonable()) == jsonutil.dumps(
+                subset_sum_plain(inst, ks, tol=tol)
+            )
+        worst = {(e["selector"], e["p"]): e["facility"] for e in record.violations}
+        assert worst["mid", locs.size] == "end"
+
+    @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
+    @pytest.mark.parametrize(
+        "family,args",
+        [
+            ("triple", (10, RUN_FORM_MIN_CLIENTS + 9)),  # longest run just below
+            ("triple", (10, RUN_FORM_MIN_CLIENTS + 10)),  # ... and at the threshold
+            ("triple", (10**3, 10**5)),
+            ("line", (100, RUN_FORM_MIN_CLIENTS + 99)),
+            ("line", (100, RUN_FORM_MIN_CLIENTS + 100)),
+            ("line", (10, 300_000)),
+            ("triangle", (5000, RUN_FORM_MIN_CLIENTS + 4999)),
+            ("triangle", (5000, RUN_FORM_MIN_CLIENTS + 5000)),
+            ("triangle", (100_000, 300_000)),
+        ],
+    )
+    def test_families_on_both_sides_of_the_threshold(self, family, args):
+        gen = {"triple": gen_tight_triple, "line": gen_tight_pair_line,
+               "triangle": gen_tight_pair_triangle}[family]
+        inst = gen(*args)
+        n = inst.n_clients
+        assert (_client_runs(inst) is not None) == (inst._client_counts.max() >= RUN_FORM_MIN_CLIENTS)
+        sets = [(1, args[0], n), (2, args[0] + 1, n // 2, n - 1)] if family == "triple" else [args]
+
+        def outputs(ks):
+            out = {"costs": cost_profile(inst, ks).costs.tobytes()}
+            for rule in (select_largest_objective, select_multi_graph, select_exhaustive):
+                out[rule.__name__] = jsonutil.dumps(rule(inst, ks).to_jsonable())
+            if len(ks) == 2:
+                out["select_pair"] = jsonutil.dumps(select_pair(inst, *ks).to_jsonable())
+            for tol in (1e-9, -1.0):
+                out[tol] = jsonutil.dumps(check_inequalities(inst, ks, tol=tol).to_jsonable())
+            return out
+
+        for ks in sets:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", n + 1)
+                plain = outputs(ks)
+            assert outputs(ks) == plain
+            for tol in (1e-9, -1.0):
+                record = check_inequalities(inst, ks, tol=tol).checks["subset_sum_domination"]
+                assert jsonutil.dumps(record.to_jsonable()) == jsonutil.dumps(
+                    subset_sum_plain(inst, ks, tol=tol)
+                )
 
 
 class TestCheckInequalities:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from centrum import (
     ObjectiveSet,
@@ -22,13 +22,17 @@ from centrum import (
     select_multi_graph,
     select_pair,
 )
+from centrum import objectives
 from centrum.errors import (
     BadParams,
     DegenerateOptimum,
     InvalidObjectiveSet,
     KOutOfRange,
+    NonFinite,
 )
 from centrum.generators import triple_location_metric
+from centrum.metric import MetricInstance, build_from_graph, build_from_points
+from centrum.objectives import RUN_FORM_MIN_CLIENTS, _client_runs, _repeat_add, _run_sums
 
 from conftest import dist_matrices, draw_pair, raw_instances
 
@@ -403,3 +407,167 @@ class TestTripleClosedForms:
         # a unit optimal cost, so its ratio hits the limit exactly
         graph = ratio_graph(triple_small, (1, 10, 60))
         assert graph.max_outgoing(1) == pytest.approx(BETA3, abs=1e-12)
+
+
+def chunked_cumsum_last(total, value, count, chunk=1 << 16):
+    """np.cumsum(np.r_[total, [value] * count])[-1], without the first
+    element when total is None, summed one chunk of at most 2**16
+    values at a time so that 10**7 additions stay small."""
+    with np.errstate(over="ignore"):
+        while count > 0:
+            step = min(count, chunk)
+            values = np.full(step, value)
+            if total is not None:
+                values = np.r_[total, values]
+            total = float(np.cumsum(values)[-1])
+            count -= step
+    return total
+
+
+_SUBNORMAL = st.floats(min_value=0.0, max_value=2.0**-1022, exclude_max=True)
+_FINITE = st.floats(min_value=0.0, max_value=1.7e308)
+
+
+@st.composite
+def repeated_additions(draw):
+    """(start, value, count) for _repeat_add: starts that are empty,
+    signed zeros, subnormal or normal; values that are zero, subnormal,
+    arbitrary, or a multiple of half the start's ulp (ties), possibly
+    nudged one float either way."""
+    start = draw(st.one_of(st.none(), st.sampled_from([0.0, -0.0]), _SUBNORMAL, _FINITE))
+    half = math.ulp(start) / 2.0 if start else 2.0**-1074
+    tie = st.builds(lambda j, nudge: nudge(j * half), st.integers(1, 9), st.sampled_from([
+        lambda x: x,
+        lambda x: math.nextafter(x, 0.0),
+        lambda x: math.nextafter(x, math.inf),
+    ]))
+    value = draw(st.one_of(st.sampled_from([0.0, -0.0]), _SUBNORMAL, _FINITE, tie))
+    count = draw(st.integers(0, 10**7))
+    return start, value, count
+
+
+class TestRunForm:
+    """The run form of the top-k kernel (closed-form repeated addition
+    over runs of co-located clients) gives np.cumsum's bits."""
+
+    @settings(max_examples=150)
+    @given(repeated_additions())
+    def test_repeat_add_matches_cumsum(self, case):
+        start, value, count = case
+        assert bits(_repeat_add(start, value, count)) == bits(chunked_cumsum_last(start, value, count))
+
+    @pytest.mark.parametrize(
+        "start,value,count",
+        [
+            (1.0, 2.0**-53, 10**6),  # half-ulp ties from an even start
+            (1.0 + 2.0**-52, 2.0**-53, 10**6),  # ... and from an odd one
+            (1.0, 3 * 2.0**-53, 10**6),
+            (1.0 + 2.0**-52, 3 * 2.0**-53, 10**6),
+            (1.0 + 2.0**-52, 5 * 2.0**-53, 10**7),
+            (1.5 * 2.0**1023, 2.0**970, 10**6),  # ties in the top binade
+            (None, 0.1, 10**7),  # 24 binade crossings
+            (None, 1.0 / 3.0, 10**7),
+            (None, -0.0, 10),  # -0.0 as the first element stays
+            (-0.0, 0.0, 3),
+            (-0.0, -0.0, 10**6),
+            (0.0, -0.0, 10**6),
+            (None, 0.0, 10**7),
+            (5e-324, 5e-324, 10**6),  # subnormal throughout
+            (2.0**-1022 - 10 * 5e-324, 3 * 5e-324, 10**5),  # into the normals
+            (1e308, 1e300, 10**7),  # overflow to inf
+            (None, 1e304, 10**5),
+            (2.0**60, 1.0, 10**7),  # absorbed at once
+            (2.0**52, 0.75, 10**7),  # rounds up to 1 each step
+        ],
+    )
+    def test_repeat_add_edge_cases(self, start, value, count):
+        assert bits(_repeat_add(start, value, count)) == bits(chunked_cumsum_last(start, value, count))
+
+    @settings(max_examples=80)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 7.0, 1e-320, 2.5]),
+                      st.integers(1, 300)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.data(),
+        st.sampled_from([1, 4, 64]),
+    )
+    def test_run_sums_match_cumsum(self, runs, data, short_run):
+        values = np.array([v for v, _ in runs])
+        counts = np.array([c for _, c in runs])
+        n = int(counts.sum())
+        ranks = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=6), label="ranks"))
+        expected = np.cumsum(np.repeat(values, counts))[np.array(ranks) - 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_SHORT_RUN", short_run)
+            assert bits(_run_sums(values, counts, ranks)) == bits(expected)
+
+    def test_applies_to_long_runs_of_located_instances_only(self):
+        edge = RUN_FORM_MIN_CLIENTS + 10
+        assert _client_runs(gen_tight_triple(10, edge - 1)) is None  # longest run just below
+        assert _client_runs(gen_tight_triple(10, edge)) is not None
+        for inst in (
+            build_from_matrix(np.ones((edge, 2))),
+            build_from_points(np.zeros((edge, 1)), [[1.0]]),
+            build_from_graph([0, 1], [(0, 1, 1.0)], [0] * edge, [1]),
+        ):
+            assert (_client_runs(inst) is None) == (inst.locations is None), inst
+
+    def test_signed_zero_distances_stay_plain(self):
+        # np.sort orders -0.0 and 0.0 as it likes, so the plain form decides
+        cross = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        inst = MetricInstance(cross=cross, locations=(np.zeros(RUN_FORM_MIN_CLIENTS, int), [1]))
+        assert _client_runs(inst) is None
+
+    @pytest.mark.parametrize("k,n", [(10, 60), (10, RUN_FORM_MIN_CLIENTS + 9),
+                                     (10, RUN_FORM_MIN_CLIENTS + 10), (100, 10**5)])
+    def test_costs_equal_the_plain_form(self, k, n):
+        inst = gen_tight_triple(k, n)
+        ks = (1, 2, k, k + 1, n // 2, n - 1, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", n + 1)
+            plain = cost_profile(inst, ks).costs
+        assert bits(cost_profile(inst, ks).costs) == bits(plain)
+
+    def test_centrum_cost_reads_the_kernel(self):
+        inst = gen_tight_triple(100, 10**5)
+        assert _client_runs(inst) is not None
+        ks = (1, 99, 100, 101, 5000, 10**5 - 1, 10**5)
+        profile = cost_profile(inst, ks)
+        for a in range(inst.m_facilities):
+            for col, k in enumerate(ks):
+                assert bits(centrum_cost(inst, a, k)) == bits(profile.costs[a, col]), (a, k)
+
+
+class TestCostOverflow:
+    """A top-k cost that overflows raises NonFinite, naming the facility
+    and the rank, on both forms of the kernel."""
+
+    def test_plain_form(self):
+        inst = build_from_matrix([[1e308, 1.0], [1e308, 1.0]])
+        with pytest.raises(NonFinite, match=r"^the top-2 cost of facility f0 is not finite$"):
+            cost_profile(inst, (1, 2))
+        with pytest.raises(NonFinite, match="top-2 cost of facility f0"):
+            centrum_cost(inst, 0, 2)
+        assert centrum_cost(inst, 0, 1) == 1e308
+        assert cost_profile(inst, (1,)).costs.tolist() == [[1e308], [1.0]]
+
+    def test_run_form(self):
+        n = 10**5
+        cross = np.array([[0.0, 1.0, 1e304], [1.0, 0.0, 1e304], [1e304, 1e304, 0.0]])
+        inst = MetricInstance(cross=cross, locations=(np.zeros(n, int), [1, 2]),
+                              facility_labels=["near", "far"])
+        assert _client_runs(inst) is not None
+        with np.errstate(over="ignore"):
+            running = np.cumsum(np.full(n, 1e304))
+        last = int(np.argmax(np.isinf(running)))  # rank of the first inf is last + 1
+        assert 17_000 < last < n
+        profile = cost_profile(inst, (1, last - 1, last))
+        assert bits(profile.costs[1]) == bits(running[[0, last - 2, last - 1]])
+        assert centrum_cost(inst, 1, last) == running[last - 1]
+        with pytest.raises(NonFinite, match=r"^the top-%d cost of facility far is not finite$" % (last + 1)):
+            cost_profile(inst, (1, last + 1))
+        with pytest.raises(NonFinite, match="top-%d cost of facility far" % n):
+            centrum_cost(inst, 1, n)
