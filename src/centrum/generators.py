@@ -3,10 +3,12 @@
 The worst-case families place many clients on a handful of locations,
 so an instance holds the small location-level metric as its cross
 matrix, plus the location of every client and facility; dist is
-derived from the two. Client labels (c<i>@<location>) are kept as a
-rule over the client locations and formatted only when read, so an
-instance of 10**6 clients holds no label strings until something
-names a client.
+derived from the two only when something reads it, which selection
+and the inequality checks skip on large families. Client labels
+(c<i>@<location>) are kept as a rule over the client locations and
+formatted only when read, so an instance of 10**6 clients holds no
+label strings and no client-facility matrix until something names a
+client or reads dist.
 """
 
 import math

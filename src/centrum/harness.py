@@ -27,6 +27,7 @@ from .generators import (
     gen_tight_triple,
 )
 from .jsonutil import dump_path
+from .metric import _gather
 from .objectives import _client_runs, _run_sums, cost_profile, graph_from_profile
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
@@ -353,7 +354,7 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     else:
         for a in range(m):
             rows, counts = _farthest_runs(instance, runs, a)
-            local = instance.cross[np.ix_(rows, instance.locations[1])]
+            local = _gather(instance.cross, rows, instance.locations[1])
             prefix = np.array([_run_sums(local[:, f], counts, ks) for f in range(m)]).T
             slack = _rel(prefix, costs)
             worst[a] = np.argmax(slack, axis=1)

@@ -4,7 +4,8 @@ The stdlib json module formats floats with repr, which is already
 round-trip safe, but we want byte-identical output across runs and
 platforms for diffable reports, so every float goes through one
 formatting routine (17 significant digits). Only the types our own
-data structures produce are supported.
+data structures produce are supported. JSON has no NaN or infinity, so
+a non-finite float raises NonFinite instead of being written.
 """
 
 import json
@@ -12,16 +13,16 @@ import math
 
 import numpy as np
 
+from .errors import NonFinite
+
 _FLOAT_TYPES = {float, np.float64}
 _WRITE_SLICE = 1 << 16  # characters per write in dump_path
 _FORMAT_CELLS = 1 << 16  # matrix entries per %-format in _float_matrix
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
+    if not math.isfinite(value):
+        raise NonFinite("the non-finite float %r has no JSON form" % value)
     if value == int(value) and abs(value) < 1e16:
         # keep 2.0 as 2.0, not 2
         return "%.1f" % value
@@ -35,6 +36,13 @@ def _specs(values: np.ndarray) -> list:
     built from them matches format_float entry by entry."""
     integral = (values == np.trunc(values)) & (np.abs(values) < 1e16)
     return np.where(integral, "%.1f", "%.17g").tolist()
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise NonFinite, as format_float does, on the first entry of
+    values that is not finite."""
+    if not np.isfinite(values).all():
+        format_float(float(values.flat[np.argmin(np.isfinite(values))]))
 
 
 def _float_row(seq: list, values: np.ndarray) -> str:
@@ -84,11 +92,11 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.ndim > 1:
-        if obj.ndim == 2 and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+        if obj.ndim == 2 and obj.dtype == np.float64 and obj.size:
+            _check_finite(obj)
             pieces.append(_float_matrix(obj, pad, inner))
             return
-        # row by row: other dtypes, and NaN or Infinity as format_float writes them
-        _emit(list(obj), indent, level, pieces)
+        _emit(list(obj), indent, level, pieces)  # row by row: other dtypes
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
@@ -97,9 +105,9 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
         # short numeric rows stay on one line so matrices read naturally
         if set(map(type, seq)) <= _FLOAT_TYPES:
             values = np.asarray(obj, dtype=float)
-            if np.isfinite(values).all():
-                pieces.append(_float_row(seq, values))
-                return
+            _check_finite(values)
+            pieces.append(_float_row(seq, values))
+            return
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
             parts = []
             for v in seq:

@@ -1,9 +1,13 @@
 """Instances: clients, facilities, and the distances between them.
 
-An instance always carries the client-facility distance matrix. It may
-additionally carry a symmetric metric (``cross``) over its distinct
-locations, which is what triangle-inequality checks need. Instances
-built from graph shortest paths or the tight generators get the cross
+Every instance reads as a client-facility distance matrix (``dist``).
+An instance may carry a symmetric metric (``cross``) over its distinct
+locations, which is what triangle-inequality checks need, and the
+location of every client and facility; its dist is then derived from
+the two on the first read and kept, so an instance whose readers work
+on locations (the top-k kernel's run form, the inequality checks'
+run form, saving) never holds the per-client matrix. Instances built
+from graph shortest paths or the tight generators get the cross
 matrix for free; instances built from a bare matrix only get one if the
 caller supplies it, which is read as one location per point. A
 point-cloud instance keeps its coordinates and norm instead, derives
@@ -179,6 +183,32 @@ class _LabelField:
         object.__setattr__(instance, self.slot, value)
 
 
+def _gather(cross: np.ndarray, rows, cols) -> np.ndarray:
+    """cross[np.ix_(rows, cols)], bit for bit: the columns first, then
+    the rows taken from that narrow block, which is several times faster
+    when rows is long."""
+    return cross[:, cols].take(rows, axis=0)
+
+
+class _DistField:
+    """MetricInstance.dist. It is stored under _dist. A located instance
+    stores None there and derives dist = cross[np.ix_(*locations)] on
+    the first read, read-only, and keeps it."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return None  # the dataclass default
+        dist = instance._dist
+        if dist is None:  # only a located instance stores None
+            dist = _gather(instance.cross, *instance.locations)
+            dist.setflags(write=False)
+            object.__setattr__(instance, "_dist", dist)
+        return dist
+
+    def __set__(self, instance, value):
+        object.__setattr__(instance, "_dist", value)
+
+
 def _own_labels(given, fmt: str, count: int):
     """Labels as the instance keeps them: a given sequence as a tuple of
     str, a _Labels rule as it is, nothing as the default fmt % i."""
@@ -196,8 +226,11 @@ class MetricInstance:
     dist has shape (n_clients, m_facilities). cross, when present, is
     the metric over L distinct locations, locations = (client_locs,
     facility_locs) gives each point's row, and dist = cross[np.ix_(*locations)].
-    A cross given with a dist and no locations has shape (n+m, n+m),
-    clients first, and takes locations = (arange(n), arange(n, n + m)).
+    Such a located instance keeps no dist until something reads it: the
+    first read derives it and keeps it, and n_clients and m_facilities
+    count the locations. A cross given with a dist and no locations has
+    shape (n+m, n+m), clients first, and takes locations = (arange(n),
+    arange(n, n + m)).
     With points = (client_points, facility_points, norm), norm 1, 2 or
     inf, dist is derived from the coordinates and there is no cross:
     the metric over all n + m points is built only where validation
@@ -216,7 +249,7 @@ class MetricInstance:
     point_label formats a single one.
     """
 
-    dist: np.ndarray | None = None
+    dist: np.ndarray | None = _DistField()
     cross: np.ndarray | None = None
     client_labels: tuple = _LabelField()
     facility_labels: tuple = _LabelField()
@@ -234,7 +267,7 @@ class MetricInstance:
             given = self._derive_from_points()
         else:
             given = self._take_matrices()
-        n, m = self.dist.shape
+        n, m = self.n_clients, self.m_facilities
         object.__setattr__(self, "client_labels", _own_labels(self._client_labels, "c%d", n))
         object.__setattr__(self, "facility_labels", _own_labels(self._facility_labels, "f%d", m))
         if len(self._client_labels) != n or len(self._facility_labels) != m:
@@ -263,7 +296,7 @@ class MetricInstance:
         if not np.isfinite(dist.max()):  # nonnegative: the maximum is finite iff all are
             _check_entries(dist, "dist")
         dist.setflags(write=False)
-        given = {"dist": self.dist}
+        given = {"dist": self._dist}
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
         dim = points[0].shape[1]
@@ -276,9 +309,9 @@ class MetricInstance:
         gave, after the bare-matrix guards; return the dist to match
         when cross derives it. A cross without locations is read as the
         identity layout: dist's n clients, then its m facilities."""
-        given, locations = {"dist": self.dist}, self.locations
+        given, locations = {"dist": self._dist}, self.locations
         if locations is None:
-            dist = _as_float_matrix(self.dist, "dist")
+            dist = _as_float_matrix(self._dist, "dist")
             if dist.shape[0] < 1 or dist.shape[1] < 1:
                 raise BadParams("instance needs at least one client and one facility")
             _check_entries(dist, "dist")
@@ -306,26 +339,46 @@ class MetricInstance:
         cross.setflags(write=False)
         object.__setattr__(self, "cross", cross)
         object.__setattr__(self, "locations", _as_locations(locations, size))
-        dist = cross[np.ix_(*self.locations)]
-        dist.setflags(write=False)
-        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "dist", None)  # derived on the first read
         return given
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if self.locations is not None:
+            state["_dist"] = None  # derived again on the first read
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle restores arrays writeable; the instance's own are
+        # read-only, and a dist derived later is right only while cross
+        # and locations stay as they were
+        for value in state.values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def n_clients(self) -> int:
-        return self.dist.shape[0]
+        if self.locations is not None:
+            return len(self.locations[0])
+        return self._dist.shape[0]
 
     @property
     def m_facilities(self) -> int:
-        return self.dist.shape[1]
+        if self.locations is not None:
+            return len(self.locations[1])
+        return self._dist.shape[1]
 
     @cached_property
     def _client_counts(self) -> np.ndarray | None:
-        """Clients on each cross row (a bincount of the client
-        locations); None for an instance without locations."""
+        """Clients on each cross row, summed over the client blocks;
+        None for an instance without locations."""
         if self.locations is None:
             return None
-        return np.bincount(self.locations[0], minlength=len(self.cross))
+        rows, lengths = self._client_blocks
+        # float sums of integers below 2**53 are exact
+        return np.bincount(rows, weights=lengths, minlength=len(self.cross)).astype(np.intp)
 
     @cached_property
     def _client_blocks(self) -> tuple:

@@ -10,16 +10,17 @@ overflows raises NonFinite. Every ratio comes from CostProfile.ratios,
 the one place a zero optimum is handled.
 
 The kernel has two forms with the same bits. The plain form sorts the
-n client rows. The run form serves a located instance whose longest
-run of co-located clients reaches RUN_FORM_MIN_CLIENTS: a column then
-holds one distance per client location, repeated once per client
-there, so the sorted column is a list of runs (value v, count c). Short
-runs are expanded into np.cumsum from the carried total; a long run is
-added by _repeat_add, which gives the running sum after t additions of
-v in O(binades) steps, bit for bit. Its argument: while the running
-sum s stays in one binade, every sum is rounded to the same grid of
-spacing u = ulp(s), so each step adds a multiple of u, fixed by where v
-falls between grid points. Only an exact half-step depends on the
+n client rows. The run form serves a located instance of at least
+RUN_FORM_MIN_CLIENTS clients with RUN_FORM_MIN_MEAN or more clients per
+occupied location on average: a column then holds one distance per
+client location, repeated once per client there, so the sorted column
+is a list of runs (value v, count c); it never reads the per-client
+dist. Short runs are expanded into np.cumsum from the carried total; a
+long run is added by _repeat_add, which gives the running sum after t
+additions of v in O(binades) steps, bit for bit. Its argument: while
+the running sum s stays in one binade, every sum is rounded to the same
+grid of spacing u = ulp(s), so each step adds a multiple of u, fixed by
+where v falls between grid points. Only an exact half-step depends on the
 parity of s, and round-half-even leaves s even after one step, so once
 two consecutive steps add the same d, every later step adds d while
 the sum stays below the binade's top, and t steps give the exact
@@ -41,14 +42,19 @@ from .errors import (
     KOutOfRange,
     NonFinite,
 )
+from .metric import _gather
 
-# A located instance takes the run form of the top-k kernel once one
-# location holds this many clients. Measured on a 2-core x86 box: the
-# forms break even near 8000 clients on one location for the tight
-# triple (3 client locations) and for 2000 singletons beside one large
-# location. 50 graph vertices with 10**3 clients each already run the
-# profile 5x faster, so the constant errs toward the plain form.
+# A located instance takes the run form of the top-k kernel when it has
+# at least RUN_FORM_MIN_CLIENTS clients and at least RUN_FORM_MIN_MEAN
+# clients per occupied location. Measured on a 2-core x86 box: the forms
+# break even near 8000 clients for the tight triple (3 client
+# locations); on random placements the profile and the inequality checks
+# break even near a mean of 400 clients per location at 10**4 clients,
+# 150 at 5 * 10**4 and 100 at 2 * 10**5. At 256 the run form is at most
+# 1.3x slower (about 4 ms) at 10**4 clients, and 1.5x and 2.6x faster at
+# 5 * 10**4 and 2 * 10**5.
 RUN_FORM_MIN_CLIENTS = 8192
+RUN_FORM_MIN_MEAN = 256
 # Within the run form, runs shorter than this are expanded into
 # np.cumsum; longer ones are added by _repeat_add.
 _SHORT_RUN = 64
@@ -182,18 +188,20 @@ def _client_runs(instance):
 
     rows are the cross rows holding clients, counts their client
     counts and local the (rows, facilities) distances. It applies to a
-    located instance whose longest run of co-located clients reaches
-    RUN_FORM_MIN_CLIENTS and whose distances hold no -0.0: np.sort
-    orders -0.0 and 0.0 as it likes, and their sum's sign follows that
-    order.
+    located instance of at least RUN_FORM_MIN_CLIENTS clients, at least
+    RUN_FORM_MIN_MEAN per occupied location, whose distances hold no
+    -0.0: np.sort orders -0.0 and 0.0 as it likes, and their sum's sign
+    follows that order.
     """
     if instance.n_clients < RUN_FORM_MIN_CLIENTS:
-        return None  # no location can hold that many
+        return None  # small instances, the sweeps' among them, stay plain
     counts = instance._client_counts
-    if counts is None or counts.max() < RUN_FORM_MIN_CLIENTS:
+    if counts is None:
         return None
     rows = np.flatnonzero(counts)
-    local = instance.cross[np.ix_(rows, instance.locations[1])]
+    if instance.n_clients < RUN_FORM_MIN_MEAN * rows.size:
+        return None
+    local = _gather(instance.cross, rows, instance.locations[1])
     if np.any(np.signbit(local)):
         return None
     return rows, counts[rows], local

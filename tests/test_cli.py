@@ -281,6 +281,31 @@ class TestVerify:
         assert captured.err == "error: the top-2 cost of facility f0 is not finite\n"
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{path}", "--objectives", "1,2,3", "--profile"],
+            ["solve", "{path}", "--objectives", "1,3", "--method", "pair", "--profile"],
+            ["solve", "{path}", "--objectives", "1,2,3", "--method", "exhaustive"],
+            ["graph", "{path}", "--objectives", "1,2,3"],
+            ["verify", "--suite", "lemmas", "--instance", "{path}"],
+        ],
+    )
+    def test_degenerate_instance_writes_strict_json(self, tmp_path, capsys, argv):
+        # every client on facility f0: zero optima, and inf ratios for f1,
+        # none of which reach the output, which JSON without NaN parses
+        path = tmp_path / "degenerate.json"
+        path.write_text('{"cross": [[0.0, 1.0], [1.0, 0.0]], "locations": [[0, 0, 0], [0, 1]]}')
+        assert run([a.format(path=path) for a in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def no_constant(name):
+            raise AssertionError("non-finite %s in the output" % name)
+
+        json.loads(captured.out, parse_constant=no_constant)
+
 
 class TestTolOption:
     """--tol takes finite values >= 0; anything else is a usage error."""

@@ -16,6 +16,7 @@ from centrum import (
     check_inequalities,
     emit_bound_curves,
     gen_random_euclidean,
+    gen_random_graph_metric,
     gen_tight_pair_line,
     gen_tight_pair_triangle,
     gen_tight_triple,
@@ -33,7 +34,13 @@ from centrum.bounds import beta_q
 from centrum.errors import BadConfig
 from centrum.harness import CheckRecord, VerificationReport
 from centrum.metric import MetricInstance, build_from_matrix
-from centrum.objectives import RUN_FORM_MIN_CLIENTS, _client_runs, cost_profile, graph_from_profile
+from centrum.objectives import (
+    RUN_FORM_MIN_CLIENTS,
+    RUN_FORM_MIN_MEAN,
+    _client_runs,
+    cost_profile,
+    graph_from_profile,
+)
 from conftest import graph_instances, point_instances, raw_instances, subset_sum_plain
 
 SQRT2 = math.sqrt(2.0)
@@ -334,6 +341,7 @@ class TestRunFormChecks:
         expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", 1)
+            mp.setattr(objectives, "RUN_FORM_MIN_MEAN", 0)
             mp.setattr(objectives, "_SHORT_RUN", short_run)
             assert _client_runs(instance) is not None
             assert _report_bytes(check_inequalities, instance, ks, tol) == expected
@@ -374,14 +382,14 @@ class TestRunFormChecks:
     @pytest.mark.parametrize(
         "family,args",
         [
-            ("triple", (10, RUN_FORM_MIN_CLIENTS + 9)),  # longest run just below
-            ("triple", (10, RUN_FORM_MIN_CLIENTS + 10)),  # ... and at the threshold
+            ("triple", (10, RUN_FORM_MIN_CLIENTS - 1)),  # clients just below
+            ("triple", (10, RUN_FORM_MIN_CLIENTS)),  # ... and at the threshold
             ("triple", (10**3, 10**5)),
-            ("line", (100, RUN_FORM_MIN_CLIENTS + 99)),
-            ("line", (100, RUN_FORM_MIN_CLIENTS + 100)),
+            ("line", (100, RUN_FORM_MIN_CLIENTS - 1)),
+            ("line", (100, RUN_FORM_MIN_CLIENTS)),
             ("line", (10, 300_000)),
-            ("triangle", (5000, RUN_FORM_MIN_CLIENTS + 4999)),
-            ("triangle", (5000, RUN_FORM_MIN_CLIENTS + 5000)),
+            ("triangle", (5000, RUN_FORM_MIN_CLIENTS - 1)),
+            ("triangle", (5000, RUN_FORM_MIN_CLIENTS)),
             ("triangle", (100_000, 300_000)),
         ],
     )
@@ -390,7 +398,9 @@ class TestRunFormChecks:
                "triangle": gen_tight_pair_triangle}[family]
         inst = gen(*args)
         n = inst.n_clients
-        assert (_client_runs(inst) is not None) == (inst._client_counts.max() >= RUN_FORM_MIN_CLIENTS)
+        # two or three client locations meet the mean rule, so n decides
+        assert n / np.count_nonzero(inst._client_counts) >= RUN_FORM_MIN_MEAN
+        assert (_client_runs(inst) is not None) == (n >= RUN_FORM_MIN_CLIENTS)
         sets = [(1, args[0], n), (2, args[0] + 1, n // 2, n - 1)] if family == "triple" else [args]
 
         def outputs(ks):
@@ -413,6 +423,42 @@ class TestRunFormChecks:
                 assert jsonutil.dumps(record.to_jsonable()) == jsonutil.dumps(
                     subset_sum_plain(inst, ks, tol=tol)
                 )
+
+    @staticmethod
+    def assert_plain_bits(inst, ks):
+        """Costs and whole reports equal the plain form's, byte for byte."""
+
+        def outputs():
+            out = [cost_profile(inst, ks).costs.tobytes()]
+            out += [_report_bytes(check_inequalities, inst, ks, tol) for tol in (1e-9, -1.0)]
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", inst.n_clients + 1)
+            assert _client_runs(inst) is None
+            plain = outputs()
+        assert outputs() == plain
+
+    def test_graph_clients_spread_over_many_vertices(self):
+        # about 4000 clients per vertex, none with 8192: the mean decides
+        inst = gen_random_graph_metric(50, 0.2, n_clients=200_000, m_facilities=10)
+        assert inst._client_counts.max() < 8192
+        assert _client_runs(inst) is not None
+        self.assert_plain_bits(inst, (1, 77, 4000, 150_001, 200_000))
+
+    @pytest.mark.parametrize("spots", [40, 41])
+    def test_both_sides_of_the_mean_run_length(self, spots):
+        # 10240 clients on 40 line locations are 256 per location, on 41 fewer
+        n = 40 * RUN_FORM_MIN_MEAN
+        assert n >= RUN_FORM_MIN_CLIENTS
+        rng = np.random.default_rng(spots)
+        positions = np.r_[rng.random(spots + 3), 0.5]
+        cross = np.abs(positions[:, None] - positions[None, :])
+        clients = rng.permutation(np.arange(n) % spots)
+        facilities = [spots, spots + 1, 0, spots + 3, spots + 2]
+        inst = MetricInstance(cross=cross, locations=(clients, facilities))
+        assert (_client_runs(inst) is not None) == (spots == 40)
+        self.assert_plain_bits(inst, (1, 300, 5000, n))
 
 
 class TestCheckInequalities:

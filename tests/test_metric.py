@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from centrum import (
     jsonutil,
     load_instance,
     save_instance,
+    select_multi_graph,
     validate_metric,
 )
 from centrum.cli import run
@@ -42,6 +44,7 @@ from centrum.errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
+from centrum.objectives import RUN_FORM_MIN_CLIENTS
 
 from conftest import (
     expanded,
@@ -873,6 +876,104 @@ class TestCallerArrays:
         assert not inst.dist.flags.writeable and inst.cross is None
         self.assert_owned(cpts, inst.points[0])
         self.assert_owned(fpts, inst.points[1])
+
+
+class TestLazyDist:
+    """A located instance keeps no per-client dist until it is read.
+    The first read gives the matrix the constructor used to build,
+    cross[np.ix_(*locations)], bit for bit, read-only, and keeps it."""
+
+    @staticmethod
+    def cases(tmp_path):
+        """(name, build, (n, m), lazy): lazy is False where the caller
+        gave a dist, which the constructor checks and so derives."""
+        cross = metric_matrix(gen_random_euclidean(4, 2, seed=5))
+        saved = tmp_path / "triple.json"
+        save_instance(gen_tight_triple(4, 25), saved)
+        edge = RUN_FORM_MIN_CLIENTS
+        return [
+            ("line", lambda: gen_tight_pair_line(2, 11), (11, 2), True),
+            ("line-run", lambda: gen_tight_pair_line(100, edge), (edge, 2), True),
+            ("triangle", lambda: gen_tight_pair_triangle(3, 7), (7, 2), True),
+            ("triangle-run", lambda: gen_tight_pair_triangle(5000, edge), (edge, 2), True),
+            ("triple-plain", lambda: gen_tight_triple(10, edge - 1), (edge - 1, 3), True),
+            ("triple-run", lambda: gen_tight_triple(10, edge), (edge, 3), True),
+            ("graph", lambda: gen_random_graph_metric(8, 0.4, seed=3, n_clients=30,
+                                                      m_facilities=5), (30, 5), True),
+            ("graph-repeats", lambda: build_from_graph(
+                "abcd", [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 0.5)],
+                ["a", "c", "a", "d", "c"], ["b", "b", "d"]), (5, 3), True),
+            ("identity", lambda: MetricInstance(dist=cross[:4, 4:].copy(), cross=cross),
+             (4, 2), False),
+            ("loaded", lambda: load_instance(saved), (25, 3), True),
+        ]
+
+    def test_first_read_derives_the_matrix(self, tmp_path):
+        for name, build, (n, m), lazy in self.cases(tmp_path):
+            inst = build()
+            assert (inst._dist is None) == lazy, name
+            assert (inst.n_clients, inst.m_facilities) == (n, m), name
+            assert repr(inst).startswith("MetricInstance(n_clients=%d, m_facilities=%d" % (n, m))
+            doc = jsonutil.dumps(instance_to_dict(inst))
+            assert (inst._dist is None) == lazy, name  # saving reads locations only
+            unread = pickle.loads(pickle.dumps(inst))
+            dist = inst.dist
+            expected = inst.cross[np.ix_(*inst.locations)]
+            assert dist.shape == expected.shape == (n, m), name
+            assert dist.dtype == expected.dtype and dist.tobytes() == expected.tobytes(), name
+            assert not dist.flags.writeable, name
+            assert inst.dist is dist, name
+            assert jsonutil.dumps(instance_to_dict(inst)) == doc, name
+            assert unread._dist is None, name  # a pickle holds no derived dist
+            for copy in (unread, pickle.loads(pickle.dumps(inst)),
+                         dataclasses.replace(inst), dataclasses.replace(unread)):
+                assert (copy.n_clients, copy.m_facilities) == (n, m), name
+                assert copy.dist.tobytes() == dist.tobytes(), name
+                assert not copy.dist.flags.writeable and copy.dist is copy.dist, name
+                assert jsonutil.dumps(instance_to_dict(copy)) == doc, name
+
+    def test_other_instances_keep_an_eager_dist(self):
+        for inst in (build_from_matrix([[1.0, 2.0], [3.0, 4.0]]),
+                     gen_random_euclidean(5, 3, seed=1)):
+            assert inst._dist is not None and inst.dist is inst._dist
+            assert inst.locations is None
+            assert inst.dist.shape == (inst.n_clients, inst.m_facilities)
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy.dist.tobytes() == inst.dist.tobytes()
+            arrays = [copy.dist] + list(copy.points[:2] if copy.points else [])
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_a_given_dist_is_still_checked(self):
+        inst = gen_tight_triple(3, 12)
+        dist = inst.dist.copy()
+        again = MetricInstance(dist=dist, cross=inst.cross, locations=inst.locations)
+        assert again.dist.tobytes() == dist.tobytes()
+        dist[-1, -1] = np.nextafter(dist[-1, -1], 0.0)
+        with pytest.raises(BadParams, match="dist differs"):
+            MetricInstance(dist=dist, cross=inst.cross, locations=inst.locations)
+
+    def test_run_form_never_reads_dist(self):
+        inst = gen_tight_triple(10, RUN_FORM_MIN_CLIENTS)
+        ks = (1, 10, inst.n_clients)
+        select_multi_graph(inst, ks)
+        check_inequalities(inst, ks)
+        assert inst._dist is None
+
+    def test_million_clients_without_a_client_matrix(self):
+        # one n x m float64 matrix alone is 24 MB; the index arrays stay below
+        k, n = 10**4, 10**6
+        check_inequalities(gen_tight_triple(10, 100), (1, 10, 100))  # first-call set-up
+        tracemalloc.start()
+        try:
+            inst = gen_tight_triple(k, n)
+            chosen = select_multi_graph(inst, (1, k, n))
+            report = check_inequalities(inst, (1, k, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst._dist is None
+        assert report.violations_total == 0 and chosen.worst_ratio < 2.6181
+        assert peak < n * inst.m_facilities * 8 * 0.75, peak
 
 
 class TestSerialization:

@@ -505,8 +505,8 @@ class TestRunForm:
             assert bits(_run_sums(values, counts, ranks)) == bits(expected)
 
     def test_applies_to_long_runs_of_located_instances_only(self):
-        edge = RUN_FORM_MIN_CLIENTS + 10
-        assert _client_runs(gen_tight_triple(10, edge - 1)) is None  # longest run just below
+        edge = RUN_FORM_MIN_CLIENTS
+        assert _client_runs(gen_tight_triple(10, edge - 1)) is None  # clients just below
         assert _client_runs(gen_tight_triple(10, edge)) is not None
         for inst in (
             build_from_matrix(np.ones((edge, 2))),
