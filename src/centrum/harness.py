@@ -339,21 +339,20 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     # extremal candidates are the p clients farthest from some facility
     worst = np.empty((m, q), dtype=np.intp)
     top = np.empty((m, q))
-    runs = _client_runs(instance)
-    if runs is None:
-        dist = instance.dist
-        step = max(1, _SUBSET_BLOCK_CELLS // dist.size)
+    form = _client_runs(instance)
+    if isinstance(form, np.ndarray):  # the plain dist
+        step = max(1, _SUBSET_BLOCK_CELLS // form.size)
         for a in range(0, m, step):
             block = slice(a, a + step)
-            order = np.argsort(-dist[:, block], axis=0, kind="stable")
-            prefix = dist[order.T]  # (selectors, n, m), farthest clients first
+            order = np.argsort(-form[:, block], axis=0, kind="stable")
+            prefix = form[order.T]  # (selectors, n, m), farthest clients first
             np.cumsum(prefix, axis=1, out=prefix)
             slack = _rel(prefix[:, ranks - 1, :], costs)
             worst[block] = np.argmax(slack, axis=2)
             top[block] = np.take_along_axis(slack, worst[block, :, None], axis=2)[..., 0]
     else:
         for a in range(m):
-            rows, counts = _farthest_runs(instance, runs, a)
+            rows, counts = _farthest_runs(instance, form, a)
             local = _gather(instance.cross, rows, instance.locations[1])
             prefix = np.array([_run_sums(local[:, f], counts, ks) for f in range(m)]).T
             slack = _rel(prefix, costs)

@@ -5,8 +5,8 @@ An instance may carry a symmetric metric (``cross``) over its distinct
 locations, which is what triangle-inequality checks need, and the
 location of every client and facility; its dist is then derived from
 the two on the first read and kept, so an instance whose readers work
-on locations (the top-k kernel's run form, the inequality checks'
-run form, saving) never holds the per-client matrix. Instances built
+on locations (saving, the run form of the top-k kernel and of the
+subset-sum check) never holds the per-client matrix. Instances built
 from graph shortest paths or the tight generators get the cross
 matrix for free; instances built from a bare matrix only get one if the
 caller supplies it, which is read as one location per point. A
@@ -70,6 +70,7 @@ def _as_float_matrix(values, what: str) -> np.ndarray:
         raise BadParams("%s is not a numeric matrix: %s" % (what, exc)) from None
     if arr.ndim != 2:
         raise BadParams("%s must be a 2-d matrix, got ndim=%d" % (what, arr.ndim))
+    arr += 0.0  # -0.0 becomes 0.0, so no sort or sum sees a signed zero
     return arr
 
 
@@ -238,7 +239,8 @@ class MetricInstance:
 
     A dist given with a cross or with points must be bit-equal to the
     derived one, so dataclasses.replace works on every instance; a
-    cross given with points is rejected.
+    cross given with points is rejected. A given dist or cross reads
+    -0.0 as 0.0.
 
     The constructor copies the arrays it is given, so the caller's stay
     writeable and unshared; the instance's own arrays are read-only.
@@ -332,7 +334,7 @@ class MetricInstance:
             if not np.allclose(cross, cross.T, rtol=0, atol=1e-9):
                 i, j = np.argwhere(~np.isclose(cross, cross.T, rtol=0, atol=1e-9))[0]
                 raise AsymmetricCross("cross[%d][%d] != cross[%d][%d]" % (i, j, j, i))
-            cross = (cross + cross.T) / 2.0
+            _symmetrize(cross)
         if np.any(np.diag(cross) != 0):
             i = int(np.argwhere(np.diag(cross) != 0)[0][0])
             raise NonzeroDiagonal("cross[%d][%d] = %g" % (i, i, cross[i, i]))
@@ -371,11 +373,8 @@ class MetricInstance:
         return self._dist.shape[1]
 
     @cached_property
-    def _client_counts(self) -> np.ndarray | None:
-        """Clients on each cross row, summed over the client blocks;
-        None for an instance without locations."""
-        if self.locations is None:
-            return None
+    def _client_counts(self) -> np.ndarray:
+        """Clients on each cross row, summed over the client blocks."""
         rows, lengths = self._client_blocks
         # float sums of integers below 2**53 are exact
         return np.bincount(rows, weights=lengths, minlength=len(self.cross)).astype(np.intp)
@@ -480,15 +479,22 @@ def _point_cross(points) -> np.ndarray:
 
     everything = np.vstack(points[:2])
     cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
-    odd = cross != cross.T
-    if odd.any():
-        cross[odd] = (cross[odd] + cross.T[odd]) / 2.0
     np.fill_diagonal(cross, 0.0)
-    if not np.isfinite(cross.max()):
-        _check_entries(cross, "cross")
+    _symmetrize(cross)
     return cross
 
 
+def _symmetrize(cross: np.ndarray) -> None:
+    """Average cross in place as (c + c.T) / 2 only where c != c.T, so
+    no symmetric entry overflows; raise NonFinite on a non-finite entry."""
+    odd = cross != cross.T
+    if odd.any():
+        cross[odd] = (cross[odd] + cross.T[odd]) / 2.0
+    if not np.isfinite(cross.max()):
+        _check_entries(cross, "cross")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf sum, slack -inf, violates nothing
 def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     """Check every triangle inequality of the cross matrix.
 

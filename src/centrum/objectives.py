@@ -9,15 +9,15 @@ ratio can never dip below 1 through float noise. A cost that
 overflows raises NonFinite. Every ratio comes from CostProfile.ratios,
 the one place a zero optimum is handled.
 
-The kernel has two forms with the same bits. The plain form sorts the
-n client rows. The run form serves a located instance of at least
-RUN_FORM_MIN_CLIENTS clients with RUN_FORM_MIN_MEAN or more clients per
-occupied location on average: a column then holds one distance per
-client location, repeated once per client there, so the sorted column
-is a list of runs (value v, count c); it never reads the per-client
-dist. Short runs are expanded into np.cumsum from the carried total; a
-long run is added by _repeat_add, which gives the running sum after t
-additions of v in O(binades) steps, bit for bit. Its argument: while
+The kernel has two forms with the same bits, and _client_runs alone
+picks one. The plain form sorts the n client rows. The run form serves
+a located instance with some client location of _SHORT_RUN clients or
+more: a column then holds one distance per client location, repeated
+once per client there, so the sorted column is a list of runs (value
+v, count c); it never reads the per-client dist. Short runs are
+expanded into np.cumsum from the carried total; a long run is added by
+_repeat_add, which gives the running sum after t additions of v in
+O(binades) steps, bit for bit. Its argument: while
 the running sum s stays in one binade, every sum is rounded to the same
 grid of spacing u = ulp(s), so each step adds a multiple of u, fixed by
 where v falls between grid points. Only an exact half-step depends on the
@@ -25,13 +25,14 @@ parity of s, and round-half-even leaves s even after one step, so once
 two consecutive steps add the same d, every later step adds d while
 the sum stays below the binade's top, and t steps give the exact
 s + t*d. Repeated addition of one value never depends on how the
-clients were stored, so costs are bit-identical in both forms.
+clients were stored, and the constructor stores -0.0 as 0.0, so costs
+are bit-identical in both forms.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,20 +45,9 @@ from .errors import (
 )
 from .metric import _gather
 
-# A located instance takes the run form of the top-k kernel when it has
-# at least RUN_FORM_MIN_CLIENTS clients and at least RUN_FORM_MIN_MEAN
-# clients per occupied location. Measured on a 2-core x86 box: the forms
-# break even near 8000 clients for the tight triple (3 client
-# locations); on random placements the profile and the inequality checks
-# break even near a mean of 400 clients per location at 10**4 clients,
-# 150 at 5 * 10**4 and 100 at 2 * 10**5. At 256 the run form is at most
-# 1.3x slower (about 4 ms) at 10**4 clients, and 1.5x and 2.6x faster at
-# 5 * 10**4 and 2 * 10**5.
-RUN_FORM_MIN_CLIENTS = 8192
-RUN_FORM_MIN_MEAN = 256
-# Within the run form, runs shorter than this are expanded into
-# np.cumsum; longer ones are added by _repeat_add.
-_SHORT_RUN = 64
+# Runs of this many clients or more are added by _repeat_add, shorter ones
+# by np.cumsum; only a located instance with such a run takes the run form.
+_SHORT_RUN = 256
 
 
 @dataclass(frozen=True)
@@ -88,6 +78,15 @@ class ObjectiveSet:
             raise KOutOfRange(
                 "rank %d exceeds client count %d" % (self.ks[-1], instance.n_clients)
             )
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel at which warnings.warn, called by the caller of
+    this function, names the first frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _as_objectives(objectives) -> ObjectiveSet:
@@ -184,47 +183,42 @@ def _run_sums(values, counts, ranks) -> np.ndarray:
 
 
 def _client_runs(instance):
-    """(rows, counts, local) when the run form applies, else None.
+    """The kernel's form for this instance, for _topk_costs and the
+    subset-sum check alike: (rows, counts, local) when some client
+    location holds _SHORT_RUN clients or more, else instance.dist.
 
     rows are the cross rows holding clients, counts their client
-    counts and local the (rows, facilities) distances. It applies to a
-    located instance of at least RUN_FORM_MIN_CLIENTS clients, at least
-    RUN_FORM_MIN_MEAN per occupied location, whose distances hold no
-    -0.0: np.sort orders -0.0 and 0.0 as it likes, and their sum's sign
-    follows that order.
+    counts and local the (rows, facilities) distances; a location that
+    full is a long run in every column.
     """
-    if instance.n_clients < RUN_FORM_MIN_CLIENTS:
-        return None  # small instances, the sweeps' among them, stay plain
+    # a location holds at most n clients: small instances skip the count
+    if instance.locations is None or instance.n_clients < _SHORT_RUN:
+        return instance.dist
     counts = instance._client_counts
-    if counts is None:
-        return None
+    if counts.max() < _SHORT_RUN:
+        return instance.dist
     rows = np.flatnonzero(counts)
-    if instance.n_clients < RUN_FORM_MIN_MEAN * rows.size:
-        return None
-    local = _gather(instance.cross, rows, instance.locations[1])
-    if np.any(np.signbit(local)):
-        return None
-    return rows, counts[rows], local
+    return rows, counts[rows], _gather(instance.cross, rows, instance.locations[1])
 
 
 def _topk_costs(instance, ks, facilities=None) -> np.ndarray:
     """Sum of the k largest client distances to each facility (all, or
     the listed indices) for each k in increasing ks, shape (m, q).
 
-    The only top-k kernel. The plain form sorts every column once for
-    all ranks and reads row k-1 of the running column sums; the run
-    form (see the module docstring) gives the same bits from the
-    location runs. Raises NonFinite, naming the facility and the rank,
-    when a requested cost overflows.
+    The only top-k kernel, in the form _client_runs picks. The plain
+    form sorts every column once for all ranks and reads row k-1 of the
+    running column sums; the run form (see the module docstring) gives
+    the same bits from the location runs. Raises NonFinite, naming the
+    facility and the rank, when a requested cost overflows.
     """
     cols = slice(None) if facilities is None else list(facilities)
-    runs = _client_runs(instance)
+    form = _client_runs(instance)
     with np.errstate(over="ignore"):  # an overflow raises NonFinite below
-        if runs is None:
-            running = np.cumsum(np.sort(instance.dist[:, cols], axis=0)[::-1, :], axis=0)
+        if isinstance(form, np.ndarray):
+            running = np.cumsum(np.sort(form[:, cols], axis=0)[::-1, :], axis=0)
             costs = running[np.array(ks) - 1, :].T
         else:
-            _, counts, local = runs
+            _, counts, local = form
             local = local[:, cols]
             order = np.argsort(-local, axis=0, kind="stable")
             costs = np.array(
@@ -294,22 +288,22 @@ class CostProfile:
         A zero optimum means every client sits on that facility, which
         then costs 0 under every objective. Ratios are then 1 where the
         cost is 0 and inf elsewhere, with one DegenerateOptimum warning
-        per profile. The matrix is computed once and read-only.
+        per profile, which names the first caller outside this package.
+        The matrix is computed once and read-only.
         """
-        return self._ratios
-
-    @cached_property
-    def _ratios(self) -> np.ndarray:
-        if self.degenerate:
-            warnings.warn(
-                "an optimal cost is zero; ratios are 1 where the cost is zero, inf elsewhere",
-                DegenerateOptimum,
-                stacklevel=4,
-            )
-            ratios = np.where(self.costs == 0.0, 1.0, np.inf)
-        else:
-            ratios = self.costs / self.optimal_costs
-        ratios.flags.writeable = False
+        ratios = self.__dict__.get("_ratios")
+        if ratios is None:
+            if self.degenerate:
+                warnings.warn(
+                    "an optimal cost is zero; ratios are 1 where the cost is zero, inf elsewhere",
+                    DegenerateOptimum,
+                    stacklevel=_outside_stacklevel(),
+                )
+                ratios = np.where(self.costs == 0.0, 1.0, np.inf)
+            else:
+                ratios = self.costs / self.optimal_costs
+            ratios.flags.writeable = False
+            self.__dict__["_ratios"] = ratios
         return ratios
 
     def to_jsonable(self, instance=None) -> dict:

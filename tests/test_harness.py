@@ -34,13 +34,7 @@ from centrum.bounds import beta_q
 from centrum.errors import BadConfig
 from centrum.harness import CheckRecord, VerificationReport
 from centrum.metric import MetricInstance, build_from_matrix
-from centrum.objectives import (
-    RUN_FORM_MIN_CLIENTS,
-    RUN_FORM_MIN_MEAN,
-    _client_runs,
-    cost_profile,
-    graph_from_profile,
-)
+from centrum.objectives import _SHORT_RUN, _client_runs, cost_profile, graph_from_profile
 from conftest import graph_instances, point_instances, raw_instances, subset_sum_plain
 
 SQRT2 = math.sqrt(2.0)
@@ -325,26 +319,46 @@ class TestCheckInequalitiesOracle:
         assert peak <= 1.05 * 8_010_437
 
 
+def _run_form(instance) -> bool:
+    return isinstance(_client_runs(instance), tuple)
+
+
 class TestRunFormChecks:
-    """Located instances with long runs of co-located clients take the
-    run form of the top-k kernel and of the subset-sum check. Every
-    output equals the plain form's, byte for byte."""
+    """Located instances with a client location of _SHORT_RUN clients or
+    more take the run form of the top-k kernel and of the subset-sum
+    check. Every output equals the plain form's, byte for byte."""
 
     @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
     @settings(max_examples=60)
     @given(st.one_of(graph_instances(), _family_instances()), st.data(),
-           st.sampled_from([1e-9, -1.0]), st.sampled_from([1, 64]))
+           st.sampled_from([1e-9, -1.0]), st.sampled_from([1, 2, 4]))
     def test_matches_loop_at_every_run_length(self, instance, data, tol, short_run):
-        # the run form on every located instance, long runs or not
+        # at 1 the run form on every located instance, with every run
+        # long; above, short runs too, where some location holds that many
         n = instance.n_clients
         ks = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=min(n, 6)))))
         expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", 1)
-            mp.setattr(objectives, "RUN_FORM_MIN_MEAN", 0)
             mp.setattr(objectives, "_SHORT_RUN", short_run)
-            assert _client_runs(instance) is not None
+            assert _run_form(instance) == (instance._client_counts.max() >= short_run)
             assert _report_bytes(check_inequalities, instance, ks, tol) == expected
+
+    @staticmethod
+    def assert_plain_bits(inst, ks):
+        """Costs and whole reports equal the plain form's, byte for
+        byte, and so does the run form with every run long."""
+
+        def outputs():
+            out = [cost_profile(inst, ks).costs.tobytes()]
+            out += [_report_bytes(check_inequalities, inst, ks, tol) for tol in (1e-9, -1.0)]
+            return out
+
+        chosen = outputs()
+        for short_run, run_form in ((inst.n_clients + 1, False), (1, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "_SHORT_RUN", short_run)
+                assert _run_form(inst) == run_form
+                assert outputs() == chosen, short_run
 
     def test_subset_sum_keeps_the_client_order_of_tied_locations(self):
         # on the line end - A - mid - B with spacing 0.1, A and B are
@@ -360,10 +374,9 @@ class TestRunFormChecks:
         ])
         blocks = [(0, 3000), (1, 5000), (0, 6000), (1, 4000), (0, 1), (1, 7)]
         locs = np.repeat([b for b, _ in blocks], [c for _, c in blocks])
-        assert np.bincount(locs).min() >= RUN_FORM_MIN_CLIENTS
         inst = MetricInstance(cross=cross, locations=(locs, [2, 3]),
                               facility_labels=["mid", "end"])
-        assert _client_runs(inst) is not None
+        assert _run_form(inst)
         end = inst.dist[:, 1]
         by_index = np.cumsum(end)[-1]
         for first in (0, 1):
@@ -377,19 +390,21 @@ class TestRunFormChecks:
             )
         worst = {(e["selector"], e["p"]): e["facility"] for e in record.violations}
         assert worst["mid", locs.size] == "end"
+        self.assert_plain_bits(inst, ks)
 
     @pytest.mark.filterwarnings("ignore::centrum.errors.DegenerateOptimum")
     @pytest.mark.parametrize(
         "family,args",
         [
-            ("triple", (10, RUN_FORM_MIN_CLIENTS - 1)),  # clients just below
-            ("triple", (10, RUN_FORM_MIN_CLIENTS)),  # ... and at the threshold
+            # the largest client location holds 255 clients, then 256
+            ("triple", (10, _SHORT_RUN + 9)),
+            ("triple", (10, _SHORT_RUN + 10)),
             ("triple", (10**3, 10**5)),
-            ("line", (100, RUN_FORM_MIN_CLIENTS - 1)),
-            ("line", (100, RUN_FORM_MIN_CLIENTS)),
+            ("line", (50, _SHORT_RUN + 49)),
+            ("line", (50, _SHORT_RUN + 50)),
             ("line", (10, 300_000)),
-            ("triangle", (5000, RUN_FORM_MIN_CLIENTS - 1)),
-            ("triangle", (5000, RUN_FORM_MIN_CLIENTS)),
+            ("triangle", (_SHORT_RUN - 1, 500)),
+            ("triangle", (_SHORT_RUN, 500)),
             ("triangle", (100_000, 300_000)),
         ],
     )
@@ -398,9 +413,9 @@ class TestRunFormChecks:
                "triangle": gen_tight_pair_triangle}[family]
         inst = gen(*args)
         n = inst.n_clients
-        # two or three client locations meet the mean rule, so n decides
-        assert n / np.count_nonzero(inst._client_counts) >= RUN_FORM_MIN_MEAN
-        assert (_client_runs(inst) is not None) == (n >= RUN_FORM_MIN_CLIENTS)
+        largest = inst._client_counts.max()
+        assert largest >= _SHORT_RUN - 1
+        assert _run_form(inst) == (largest >= _SHORT_RUN)
         sets = [(1, args[0], n), (2, args[0] + 1, n // 2, n - 1)] if family == "triple" else [args]
 
         def outputs(ks):
@@ -414,50 +429,35 @@ class TestRunFormChecks:
             return out
 
         for ks in sets:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", n + 1)
-                plain = outputs(ks)
-            assert outputs(ks) == plain
+            chosen = outputs(ks)
+            for short_run in (n + 1, 1):  # plain, then every run long
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(objectives, "_SHORT_RUN", short_run)
+                    assert outputs(ks) == chosen, short_run
             for tol in (1e-9, -1.0):
                 record = check_inequalities(inst, ks, tol=tol).checks["subset_sum_domination"]
                 assert jsonutil.dumps(record.to_jsonable()) == jsonutil.dumps(
                     subset_sum_plain(inst, ks, tol=tol)
                 )
 
-    @staticmethod
-    def assert_plain_bits(inst, ks):
-        """Costs and whole reports equal the plain form's, byte for byte."""
-
-        def outputs():
-            out = [cost_profile(inst, ks).costs.tobytes()]
-            out += [_report_bytes(check_inequalities, inst, ks, tol) for tol in (1e-9, -1.0)]
-            return out
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", inst.n_clients + 1)
-            assert _client_runs(inst) is None
-            plain = outputs()
-        assert outputs() == plain
-
     def test_graph_clients_spread_over_many_vertices(self):
-        # about 4000 clients per vertex, none with 8192: the mean decides
+        # about 4000 clients per vertex
         inst = gen_random_graph_metric(50, 0.2, n_clients=200_000, m_facilities=10)
-        assert inst._client_counts.max() < 8192
-        assert _client_runs(inst) is not None
+        assert _run_form(inst)
         self.assert_plain_bits(inst, (1, 77, 4000, 150_001, 200_000))
 
     @pytest.mark.parametrize("spots", [40, 41])
     def test_both_sides_of_the_mean_run_length(self, spots):
-        # 10240 clients on 40 line locations are 256 per location, on 41 fewer
-        n = 40 * RUN_FORM_MIN_MEAN
-        assert n >= RUN_FORM_MIN_CLIENTS
+        # 10240 clients on 40 line locations are 256 at each, on 41 at
+        # most 250
+        n = 40 * _SHORT_RUN
         rng = np.random.default_rng(spots)
         positions = np.r_[rng.random(spots + 3), 0.5]
         cross = np.abs(positions[:, None] - positions[None, :])
         clients = rng.permutation(np.arange(n) % spots)
         facilities = [spots, spots + 1, 0, spots + 3, spots + 2]
         inst = MetricInstance(cross=cross, locations=(clients, facilities))
-        assert (_client_runs(inst) is not None) == (spots == 40)
+        assert _run_form(inst) == (spots == 40)
         self.assert_plain_bits(inst, (1, 300, 5000, n))
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from centrum.errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from centrum.objectives import RUN_FORM_MIN_CLIENTS
+from centrum.objectives import _SHORT_RUN
 
 from conftest import (
     expanded,
@@ -213,6 +214,23 @@ class TestBuildFromMatrix:
         ]
         with pytest.raises(AsymmetricCross):
             MetricInstance(dist=np.array([[1.0], [1.0]]), cross=np.array(cross))
+
+    @pytest.mark.parametrize("layout", ["located", "bare"])
+    def test_near_symmetric_cross_averages_only_its_asymmetric_pair(self, layout):
+        # averaging the whole matrix took 1e308 + 1e308 to inf
+        cross = np.array([[0.0, 1.0, 1e308], [1.0 + 1e-12, 0.0, 1e308], [1e308, 1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if layout == "located":
+                inst = MetricInstance(cross=cross, locations=([0, 1], [2]))
+            else:
+                inst = build_from_matrix(cross[:2, 2:], cross=cross)
+            assert inst.violations(0.0) == []
+        assert np.isfinite(inst.cross).all()
+        assert inst.cross[0, 2] == inst.cross[2, 1] == 1e308
+        pair = (cross[0, 1] + cross[1, 0]) / 2.0  # as the whole-matrix average gave it
+        assert inst.cross[0, 1].tobytes() == inst.cross[1, 0].tobytes() == pair.tobytes()
+        assert pair.hex() == "0x1.00000000008ccp+0"
 
     def test_nonzero_diagonal_rejected(self):
         cross = np.ones((3, 3))
@@ -890,12 +908,12 @@ class TestLazyDist:
         cross = metric_matrix(gen_random_euclidean(4, 2, seed=5))
         saved = tmp_path / "triple.json"
         save_instance(gen_tight_triple(4, 25), saved)
-        edge = RUN_FORM_MIN_CLIENTS
+        edge = _SHORT_RUN + 10  # the largest client location of the run cases holds _SHORT_RUN
         return [
             ("line", lambda: gen_tight_pair_line(2, 11), (11, 2), True),
-            ("line-run", lambda: gen_tight_pair_line(100, edge), (edge, 2), True),
+            ("line-run", lambda: gen_tight_pair_line(10, edge), (edge, 2), True),
             ("triangle", lambda: gen_tight_pair_triangle(3, 7), (7, 2), True),
-            ("triangle-run", lambda: gen_tight_pair_triangle(5000, edge), (edge, 2), True),
+            ("triangle-run", lambda: gen_tight_pair_triangle(_SHORT_RUN, edge), (edge, 2), True),
             ("triple-plain", lambda: gen_tight_triple(10, edge - 1), (edge - 1, 3), True),
             ("triple-run", lambda: gen_tight_triple(10, edge), (edge, 3), True),
             ("graph", lambda: gen_random_graph_metric(8, 0.4, seed=3, n_clients=30,
@@ -953,7 +971,7 @@ class TestLazyDist:
             MetricInstance(dist=dist, cross=inst.cross, locations=inst.locations)
 
     def test_run_form_never_reads_dist(self):
-        inst = gen_tight_triple(10, RUN_FORM_MIN_CLIENTS)
+        inst = gen_tight_triple(10, _SHORT_RUN + 10)
         ks = (1, 10, inst.n_clients)
         select_multi_graph(inst, ks)
         check_inequalities(inst, ks)

@@ -1,5 +1,6 @@
 """Costs, optima, ratios, and the ratio graph."""
 
+import json
 import math
 import warnings
 
@@ -31,8 +32,15 @@ from centrum.errors import (
     NonFinite,
 )
 from centrum.generators import triple_location_metric
-from centrum.metric import MetricInstance, build_from_graph, build_from_points
-from centrum.objectives import RUN_FORM_MIN_CLIENTS, _client_runs, _repeat_add, _run_sums
+from centrum.jsonutil import dumps
+from centrum.metric import (
+    MetricInstance,
+    build_from_graph,
+    build_from_points,
+    instance_to_dict,
+    load_instance,
+)
+from centrum.objectives import _SHORT_RUN, _client_runs, _repeat_add, _run_sums
 
 from conftest import dist_matrices, draw_pair, raw_instances
 
@@ -298,6 +306,25 @@ class TestDegenerateOptimum:
         assert result.ratios == self.RATIOS[0]
         assert result.worst_ratio == 1.0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, ks: cost_profile(inst, ks).ratios(),
+            lambda inst, ks: approx_ratio(inst, 1, ks[0]),
+            ratio_graph,
+            select_multi_graph,
+            check_inequalities,
+        ],
+        ids=["ratios", "approx_ratio", "ratio_graph", "select_multi_graph", "check_inequalities"],
+    )
+    def test_warning_names_the_caller(self, call):
+        # the first frame outside the package, wherever the warning is raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(self.INST, self.KS)
+        [warning] = [w for w in caught if issubclass(w.category, DegenerateOptimum)]
+        assert warning.filename == __file__
+
     def test_check_inequalities(self):
         report, count = _degenerate_warnings(lambda: check_inequalities(self.INST, self.KS))
         assert count == 1
@@ -505,35 +532,62 @@ class TestRunForm:
             assert bits(_run_sums(values, counts, ranks)) == bits(expected)
 
     def test_applies_to_long_runs_of_located_instances_only(self):
-        edge = RUN_FORM_MIN_CLIENTS
-        assert _client_runs(gen_tight_triple(10, edge - 1)) is None  # clients just below
-        assert _client_runs(gen_tight_triple(10, edge)) is not None
+        # the largest client location of gen_tight_triple(10, n) holds n - 10
+        edge = _SHORT_RUN + 10
+        assert isinstance(_client_runs(gen_tight_triple(10, edge - 1)), np.ndarray)
+        assert isinstance(_client_runs(gen_tight_triple(10, edge)), tuple)
         for inst in (
             build_from_matrix(np.ones((edge, 2))),
             build_from_points(np.zeros((edge, 1)), [[1.0]]),
             build_from_graph([0, 1], [(0, 1, 1.0)], [0] * edge, [1]),
         ):
-            assert (_client_runs(inst) is None) == (inst.locations is None), inst
+            assert isinstance(_client_runs(inst), tuple) == (inst.locations is not None), inst
 
-    def test_signed_zero_distances_stay_plain(self):
-        # np.sort orders -0.0 and 0.0 as it likes, so the plain form decides
-        cross = np.array([[0.0, -0.0], [-0.0, 0.0]])
-        inst = MetricInstance(cross=cross, locations=(np.zeros(RUN_FORM_MIN_CLIENTS, int), [1]))
-        assert _client_runs(inst) is None
+    def test_signed_zeros_read_save_and_sum_as_zero(self, tmp_path):
+        # the constructor stores -0.0 as 0.0, so no cost, on either form,
+        # depends on how a sort orders signed zeros, and none reads -0.0
+        n = 2 * _SHORT_RUN
+        cross = [[-0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]]
+        docs = {
+            "bare": {"dist": [[-0.0, 1.0]] * n + [[-0.0, -0.0]]},
+            "located": {"cross": cross, "locations": [[0] * n + [1], [1, 2]]},
+        }
+        path = tmp_path / "zero.json"
+        for name, doc in docs.items():
+            path.write_text(json.dumps(doc))
+            inst = load_instance(path)
+            stored = inst.dist if inst.cross is None else inst.cross
+            assert stored.tobytes() == np.abs(stored).tobytes(), name
+            assert "-0.0" not in dumps(instance_to_dict(inst)), name
+            derived = inst.dist.copy()
+            given = np.where(derived == 0.0, -0.0, derived)
+            if inst.cross is not None:  # a given dist is compared with -0.0 read as 0.0
+                again = MetricInstance(dist=given, cross=inst.cross, locations=inst.locations)
+                assert again.dist.tobytes() == derived.tobytes(), name
+            ks = (1, n, n + 1)
+            expected = np.cumsum(np.sort(derived, axis=0)[::-1], axis=0)[np.array(ks) - 1].T
+            assert (expected == 0.0).any(), name
+            for short_run in (1, n + 2):  # the run form on the located instance, then plain
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(objectives, "_SHORT_RUN", short_run)
+                    costs = cost_profile(inst, ks).costs
+                assert bits(costs) == bits(expected) == bits(np.abs(expected)), (name, short_run)
 
-    @pytest.mark.parametrize("k,n", [(10, 60), (10, RUN_FORM_MIN_CLIENTS + 9),
-                                     (10, RUN_FORM_MIN_CLIENTS + 10), (100, 10**5)])
+    @pytest.mark.parametrize("k,n", [(10, 60), (10, _SHORT_RUN + 9),
+                                     (10, _SHORT_RUN + 10), (100, 10**5)])
     def test_costs_equal_the_plain_form(self, k, n):
         inst = gen_tight_triple(k, n)
         ks = (1, 2, k, k + 1, n // 2, n - 1, n)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objectives, "RUN_FORM_MIN_CLIENTS", n + 1)
-            plain = cost_profile(inst, ks).costs
-        assert bits(cost_profile(inst, ks).costs) == bits(plain)
+        costs = {}
+        for short_run in (n + 1, _SHORT_RUN, 1):  # plain, as chosen, every run long
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "_SHORT_RUN", short_run)
+                costs[short_run] = bits(cost_profile(inst, ks).costs)
+        assert costs[_SHORT_RUN] == costs[n + 1] == costs[1]
 
     def test_centrum_cost_reads_the_kernel(self):
         inst = gen_tight_triple(100, 10**5)
-        assert _client_runs(inst) is not None
+        assert isinstance(_client_runs(inst), tuple)
         ks = (1, 99, 100, 101, 5000, 10**5 - 1, 10**5)
         profile = cost_profile(inst, ks)
         for a in range(inst.m_facilities):
@@ -559,7 +613,7 @@ class TestCostOverflow:
         cross = np.array([[0.0, 1.0, 1e304], [1.0, 0.0, 1e304], [1e304, 1e304, 0.0]])
         inst = MetricInstance(cross=cross, locations=(np.zeros(n, int), [1, 2]),
                               facility_labels=["near", "far"])
-        assert _client_runs(inst) is not None
+        assert isinstance(_client_runs(inst), tuple)
         with np.errstate(over="ignore"):
             running = np.cumsum(np.full(n, 1e304))
         last = int(np.argmax(np.isinf(running)))  # rank of the first inf is last + 1
