@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import __version__, jsonutil
 from .bounds import beta_q, pair_bound_f, pair_bound_shared
@@ -273,11 +274,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except (CentrumError, OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # library callers keep their handler
+        warnings.showwarning = lambda message, category, *_: print(
+            "warning: %s: %s" % (category.__name__, message), file=sys.stderr)
+        try:
+            return args.func(args)
+        except (CentrumError, OSError, json.JSONDecodeError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
 
 
 def main() -> None:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +31,9 @@ from .objectives import _client_runs, _run_sums, cost_profile, graph_from_profil
 from .selection import select_exhaustive, select_multi_graph, select_pair
 
 _VIOLATION_CAP = 25  # per check, to keep reports readable
-# cap on the (selectors, n, m) prefix sums that subset-sum domination
-# gathers at once: 256 KB, so 10^6 clients run one selector per block
-_SUBSET_BLOCK_CELLS = 1 << 15
+# cap on the cells of the subset-sum prefix sums or a walk product held
+# at once: 256 KB, so 10^6 clients run one selector per block
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -187,33 +186,45 @@ def _rel(lhs, rhs):
     return (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _simple_cycles(q: int):
-    """All directed simple cycles of the complete digraph on q nodes,
-    each yielded once (the smallest node first)."""
-    for size in range(2, q + 1):
-        for subset in combinations(range(q), size):
-            for perm in permutations(subset[1:]):
-                yield (subset[0],) + perm
-
-
 @cache
-def _cycle_table(q: int) -> tuple:
-    """(cycles, tails, heads, beta) for the simple cycles on q nodes.
+def _betas(q: int) -> tuple:
+    return tuple(beta_q(size) for size in range(2, q + 1))
 
-    Row r of tails and heads lists cycle r's edges, padded to q with -1;
-    beta[r] is the guarantee for the cycle's length. The arrays are
-    read-only, since every call with this q shares them.
-    """
-    cycles = tuple(_simple_cycles(q))
-    tails = np.full((len(cycles), q), -1)
-    heads = np.full((len(cycles), q), -1)
-    for r, cycle in enumerate(cycles):
-        tails[r, : len(cycle)] = cycle
-        heads[r, : len(cycle)] = cycle[1:] + cycle[:1]
-    beta = np.array([beta_q(len(cycle)) for cycle in cycles])
-    for array in (tails, heads, beta):
-        array.setflags(write=False)
-    return cycles, tails, heads, beta
+
+def _bottleneck_walks(weights) -> tuple:
+    """(walks, best) over the off-diagonal entries of q x q weights:
+    walks[i][x, z] is the largest min edge over walks of i + 1 edges
+    from x to z, a (max, min) matrix power in row blocks of at most
+    _BLOCK_CELLS cells, and best[L - 2] the largest diagonal entry of
+    walks[L - 1]. The powers stop once best reaches the (max, min)
+    closure's diagonal, which no closed walk exceeds; best is -inf after."""
+    q = len(weights)
+    edges = np.array(weights, dtype=float)
+    np.fill_diagonal(edges, -np.inf)
+    reach = edges.copy()
+    for y in range(q):  # Floyd-Warshall: row and column y stay fixed
+        np.maximum(reach, np.minimum(reach[:, y, None], reach[y]), out=reach)
+    walks, best = [edges], np.full(q - 1, -np.inf)
+    step = max(1, _BLOCK_CELLS // q**2)
+    while best.max() < reach.diagonal().max():
+        blocks = (walks[-1][a : a + step, :, None] for a in range(0, q, step))
+        walks.append(np.concatenate([np.minimum(b, edges).max(axis=1) for b in blocks]))
+        best[len(walks) - 2] = walks[-1].diagonal().max()
+    return walks, best
+
+
+def _witness_cycle(walks, best, low: float) -> list:
+    """The simple cycle with every edge >= low, a value of best, read
+    back through walks from the smallest node that reaches low at the
+    first length any does. No shorter closed walk reaches low, so it
+    repeats no node, and its other nodes reach low there too."""
+    size = int(np.argmax(best >= low)) + 2
+    x = z = int(np.argmax(walks[size - 1].diagonal() >= low))
+    cycle = [x]
+    for i in range(size - 2, -1, -1):  # z's predecessor, i + 1 edges from x
+        z = int(np.argmax((walks[i][x] >= low) & (walks[0][:, z] >= low)))
+        cycle.insert(1, z)
+    return cycle
 
 
 def _farthest_runs(instance, runs, selector: int) -> tuple:
@@ -222,36 +233,18 @@ def _farthest_runs(instance, runs, selector: int) -> tuple:
     plain subset-sum check takes them), as runs of consecutive clients
     at one location: (cross rows, counts).
 
-    runs is _client_runs(instance). A location whose distance no other
-    one shares is one run. The clients of tied locations are taken in
-    index order from the instance's blocks of consecutive co-located
-    clients, in one pass over those blocks; they are grouped by distance
-    with a stable sort when more than one distance is tied, and
-    neighbouring blocks at one location are joined.
+    runs is _client_runs(instance). Each location is one run unless
+    two are equidistant from the facility; then the runs are the
+    instance's _client_blocks, stably sorted by distance, and _run_sums
+    gives the same bits however a location's clients are split.
     """
     rows, counts, local = runs
     col = local[:, selector]
+    if np.any(np.diff(np.sort(col)) == 0):  # finite, so only equal entries differ by 0
+        col = col[np.searchsorted(rows, instance._client_blocks[0])]
+        rows, counts = instance._client_blocks
     order = np.argsort(-col, kind="stable")
-    rows, counts, col = rows[order], counts[order], col[order]
-    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
-    sizes = np.diff(np.r_[starts, col.size])
-    if sizes.max() == 1:
-        return rows, counts
-    alone = np.repeat(sizes == 1, sizes)
-    # a tied location's key is its group's first position in the order
-    key = np.full(len(instance.cross), -1)
-    key[rows[~alone]] = np.repeat(starts, sizes)[~alone]
-    block_rows, block_lengths = instance._client_blocks
-    tied = key[block_rows] >= 0
-    block_rows, block_lengths = block_rows[tied], block_lengths[tied]
-    if np.count_nonzero(sizes > 1) > 1:
-        by_group = np.argsort(key[block_rows], kind="stable")
-        block_rows, block_lengths = block_rows[by_group], block_lengths[by_group]
-    cut = np.flatnonzero(np.r_[True, block_rows[1:] != block_rows[:-1]])
-    tied_rows, tied_counts = block_rows[cut], np.add.reduceat(block_lengths, cut)
-    # untied locations keep their position; tied runs sit at their group's
-    merged = np.argsort(np.r_[np.flatnonzero(alone), key[tied_rows]], kind="stable")
-    return np.r_[rows[alone], tied_rows][merged], np.r_[counts[alone], tied_counts][merged]
+    return rows[order], counts[order]
 
 
 def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
@@ -264,7 +257,10 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     Its metric_axioms record comes from instance.violations(tol), which
     validates only where rounding could show. Returns a report with one
     record per check, each one array pass over all rank pairs,
-    selectors or cycles, in that order.
+    selectors or cycle lengths L = 2..q, in that order. The largest min
+    edge over simple cycles of at most L nodes is checked against
+    beta(L): it is the largest over closed walks of at most L edges, as
+    each holds such a cycle whose min edge is no smaller.
     """
     profile = cost_profile(instance, objectives)
     report = VerificationReport()
@@ -341,7 +337,7 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     top = np.empty((m, q))
     form = _client_runs(instance)
     if isinstance(form, np.ndarray):  # the plain dist
-        step = max(1, _SUBSET_BLOCK_CELLS // form.size)
+        step = max(1, _BLOCK_CELLS // form.size)
         for a in range(0, m, step):
             block = slice(a, a + step)
             order = np.argsort(-form[:, block], axis=0, kind="stable")
@@ -364,12 +360,11 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
         lambda i: {"selector": flabels[i // q], "p": ks[i % q], "facility": flabels[worst.flat[i]]},
     )
 
-    if metric and 2 <= q <= 5:
-        cycles, tails, heads, beta = _cycle_table(q)
-        low = np.where(tails >= 0, weights[tails, heads], np.inf).min(axis=1)
-        record(
-            "cycle_min_edge_bound", low - beta, lambda i: {"cycle": [ks[c] for c in cycles[i]]}
-        )
+    if metric and q >= 2:
+        walks, best = _bottleneck_walks(weights)
+        low = np.maximum.accumulate(best)
+        record("cycle_min_edge_bound", low - _betas(q), lambda i: {
+            "length": i + 2, "cycle": [ks[c] for c in _witness_cycle(walks, best, low[i])]})
 
     return report
 

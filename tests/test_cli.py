@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import centrum
 from centrum import VerificationReport, gen_tight_triple, save_instance
 from centrum.cli import run
+from centrum.errors import DegenerateOptimum
 from centrum.objectives import cost_profile
 
 BETA3 = (3.0 + math.sqrt(5.0)) / 2.0
@@ -305,6 +307,50 @@ class TestVerify:
             raise AssertionError("non-finite %s in the output" % name)
 
         json.loads(captured.out, parse_constant=no_constant)
+
+
+class TestWarnings:
+    """The CLI prints a warning as one line naming its category, not the
+    interpreter frame that called into the package."""
+
+    LINE = (
+        "warning: DegenerateOptimum: an optimal cost is zero; ratios are 1 where the cost"
+        " is zero, inf elsewhere\n"
+    )
+    ARGVS = [
+        ["solve", "{path}", "--method", "graph", "--objectives", "1,2"],
+        ["graph", "{path}", "--objectives", "1,2"],
+        ["verify", "--suite", "lemmas", "--instance", "{path}"],
+    ]
+
+    @staticmethod
+    def degenerate_argv(tmp_path, argv):
+        path = tmp_path / "degenerate.json"
+        path.write_text('{"dist": [[0.0, 5.0], [0.0, 6.0]]}')
+        return [a.format(path=path) for a in argv]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["solve", "graph", "lemmas"])
+    def test_module_run_prints_one_line(self, tmp_path, capsys, argv):
+        argv = self.degenerate_argv(tmp_path, argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateOptimum)
+            assert run(argv) == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(centrum.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src
+        done = subprocess.run([sys.executable, "-m", "centrum", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr, done.stdout) == (0, self.LINE, expected)
+
+    def test_run_restores_the_handler(self, tmp_path, capsys):
+        argv = self.degenerate_argv(tmp_path, self.ARGVS[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DegenerateOptimum)
+            handler = warnings.showwarning
+            assert run(argv) == 0
+            assert warnings.showwarning is handler
+        assert capsys.readouterr().err == self.LINE
 
 
 class TestTolOption:

@@ -102,6 +102,21 @@ def _simple_cycles(q: int):
                 yield (subset[0],) + perm
 
 
+def _cycle_lows(weights):
+    """(L, low, witness) for L = 2..q, by enumeration: low is the largest
+    min edge over the simple cycles of at most L nodes, and the witness
+    the one check_inequalities names, among the cycles with every edge
+    >= low: of the fewest nodes, then the smallest first node, then
+    the smallest last node, the smallest node before it, and so on."""
+    cycles = list(_simple_cycles(len(weights)))
+    mins = [min(weights[u, v] for u, v in zip(c, c[1:] + c[:1])) for c in cycles]
+    for size in range(2, len(weights) + 1):
+        low = max(w for c, w in zip(cycles, mins) if len(c) <= size)
+        reach = [c for c, w in zip(cycles, mins) if w >= low]
+        fewest = min(len(c) for c in reach)
+        yield size, low, min((c for c in reach if len(c) == fewest), key=lambda c: (c[0], c[:0:-1]))
+
+
 def loop_check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationReport:
     """The per-pair, per-selector loop that check_inequalities replaced,
     kept as its differential oracle. Tied facility slacks are listed by
@@ -182,18 +197,11 @@ def loop_check_inequalities(instance, objectives, tol: float = 1e-9) -> Verifica
                 tol,
             )
 
-    if metric and 2 <= len(ks) <= 5:
+    if metric and len(ks) >= 2:
         rec = report.check("cycle_min_edge_bound")
         rec.instances = 1
-        betas = {size: beta_q(size) for size in range(2, len(ks) + 1)}
-        for cycle in _simple_cycles(len(ks)):
-            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-            low = min(float(weights[u, v]) for u, v in edges)
-            rec.add(
-                low - betas[len(cycle)],
-                {"cycle": [ks[c] for c in cycle]},
-                tol,
-            )
+        for size, low, cycle in _cycle_lows(weights):
+            rec.add(low - beta_q(size), {"length": size, "cycle": [ks[c] for c in cycle]}, tol)
 
     return report
 
@@ -257,15 +265,15 @@ class TestCheckInequalitiesOracle:
     @settings(max_examples=120)
     @given(_ANY_INSTANCE, st.data(), st.sampled_from([1e-9, 0.0, -1.0]))
     def test_matches_loop(self, instance, data, tol):
-        # q = 1 has no pairs; q = 6 has no cycle check; tol = -1 makes
-        # every comparison an example, which pins the order and the cap
+        # q = 1 has no pairs or cycles; tol = -1 makes every comparison
+        # an example, which pins the order and the cap
         n, m = instance.dist.shape
         ranks = st.sets(st.integers(1, n), min_size=1, max_size=min(n, 6))
         ks = tuple(sorted(data.draw(ranks, label="ks")))
         expected = _report_bytes(loop_check_inequalities, instance, ks, tol)
-        for cap in (harness._SUBSET_BLOCK_CELLS, 1, n * m - 1, 2 * n * m):
+        for cap in (harness._BLOCK_CELLS, 1, n * m - 1, 2 * n * m):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(harness, "_SUBSET_BLOCK_CELLS", cap)
+                mp.setattr(harness, "_BLOCK_CELLS", cap)
                 assert _report_bytes(check_inequalities, instance, ks, tol) == expected, cap
 
     @pytest.mark.parametrize("tol", [1e-9, 0.0, -1.0])
@@ -284,7 +292,7 @@ class TestCheckInequalitiesOracle:
                 with pytest.MonkeyPatch.context() as mp:
                     if selectors_per_block is not None:
                         cap = selectors_per_block * n * m
-                        mp.setattr(harness, "_SUBSET_BLOCK_CELLS", cap)
+                        mp.setattr(harness, "_BLOCK_CELLS", cap)
                     assert _report_bytes(check_inequalities, instance, ks, tol) == expected
 
     def test_tied_slacks_listed_by_facility(self):
@@ -459,6 +467,129 @@ class TestRunFormChecks:
         inst = MetricInstance(cross=cross, locations=(clients, facilities))
         assert _run_form(inst) == (spots == 40)
         self.assert_plain_bits(inst, (1, 300, 5000, n))
+
+
+_WEIGHT = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, math.inf]), st.floats(1.0, 4.0))
+
+
+@st.composite
+def _weight_matrices(draw):
+    """q x q ratio-graph weights, q = 2..7, with integer ties and inf."""
+    q = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.lists(_WEIGHT, min_size=q, max_size=q), min_size=q, max_size=q))
+    weights = np.array(rows)
+    np.fill_diagonal(weights, 1.0)
+    return weights
+
+
+def _planted_instance():
+    """Ten clients, a non-metric cross: f0 is 1 from every client, f1 is
+    3 from client 0 and 0 from the rest. f0 is optimal under k = 1 and
+    f1 under k = 5 and 10, so the 2-cycle between ranks 1 and 10 has
+    edges 10/3 and 3, above beta(2) and beta(3)."""
+    dist = np.c_[np.ones(10), np.r_[3.0, np.zeros(9)]]
+    cross = np.ones((12, 12))
+    np.fill_diagonal(cross, 0.0)
+    cross[:10, 10:], cross[10:, :10] = dist, dist.T
+    return MetricInstance(dist=dist, cross=cross, provenance={})
+
+
+class TestCycleBound:
+    """The (max, min) walk products against the enumeration of simple
+    cycles they replaced."""
+
+    @settings(max_examples=300)
+    @given(_weight_matrices(), st.sampled_from([1, harness._BLOCK_CELLS]))
+    def test_lows_and_witnesses_match_the_enumeration(self, weights, cells):
+        q = len(weights)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BLOCK_CELLS", cells)
+            walks, best = harness._bottleneck_walks(weights)
+        low = np.maximum.accumulate(best)
+        cycles = list(_simple_cycles(q))
+        mins = [min(weights[u, v] for u, v in zip(c, c[1:] + c[:1])) for c in cycles]
+        for size, expected, cycle in _cycle_lows(weights):
+            assert low[size - 2] == expected
+            witness = harness._witness_cycle(walks, best, low[size - 2])
+            assert witness == list(cycle)
+            # simple, smallest node first, every edge reaching low, and
+            # no cycle of fewer nodes reaches it
+            assert len(set(witness)) == len(witness) and witness[0] == min(witness)
+            assert all(weights[u, v] >= expected for u, v in zip(witness, witness[1:] + witness[:1]))
+            assert all(w < expected for c, w in zip(cycles, mins) if len(c) < len(witness))
+        # the record's max slack is the enumeration's, bit for bit
+        assert np.max(low - harness._betas(q)) == max(
+            w - beta_q(len(c)) for c, w in zip(cycles, mins)
+        )
+
+    def test_planted_violation_names_a_violating_cycle(self):
+        inst = _planted_instance()
+        weights = ratio_graph(inst, (1, 5, 10)).weights
+        assert weights[0, 2] == 10 / 3 and weights[2, 0] == 3.0
+        report = check_inequalities(inst, (1, 5, 10))
+        assert report.checks["metric_axioms"].violation_count > 0
+        rec = report.checks["cycle_min_edge_bound"]
+        assert (rec.comparisons, rec.violation_count) == (2, 2)
+        assert rec.max_slack == 3.0 - beta_q(2)
+        assert rec.violations == [
+            {"length": 2, "cycle": [1, 10], "slack": 3.0 - beta_q(2)},
+            {"length": 3, "cycle": [1, 10], "slack": 3.0 - beta_q(3)},
+        ]
+        for example in rec.violations:  # a real cycle, above its own length's bound
+            nodes = [(1, 5, 10).index(k) for k in example["cycle"]]
+            low = min(weights[u, v] for u, v in zip(nodes, nodes[1:] + nodes[:1]))
+            assert low - beta_q(len(nodes)) >= example["slack"] > 0
+
+    def test_sweep_past_five_ranks(self):
+        report = sweep_multi(MultiSweepConfig(instances=60, seed=3, qs=tuple(range(3, 13))))
+        rec = report.checks["cycle_min_edge_bound"]
+        assert rec.instances == 61
+        assert rec.violation_count == 0
+        # q - 1 lengths per random instance, which is clamped to its
+        # client count, and 2 for the tight triple
+        observed = {q: report.bounds.get("multi_guarantee[q=%d]" % q) for q in range(2, 13)}
+        assert observed[12].observations > 0
+        assert rec.comparisons == 2 + sum((q - 1) * b.observations for q, b in observed.items() if b)
+
+    @pytest.mark.parametrize("kind", ["euclid", "graph"])
+    def test_all_ranks(self, kind):
+        if kind == "euclid":
+            inst = gen_random_euclidean(40, 10, seed=1)
+        else:
+            inst = gen_random_graph_metric(20, 0.3, seed=1, n_clients=40, m_facilities=10)
+        ks = tuple(range(1, 41))
+        report = check_inequalities(inst, ks)
+        assert report.violations_total == 0
+        assert report.checks["cycle_min_edge_bound"].comparisons == 39
+        assert select_multi_graph(inst, ks).worst_ratio <= beta_q(40)
+        assert select_largest_objective(inst, ks).worst_ratio <= 3.0
+
+
+@st.composite
+def _equidistant_instances(draw):
+    """Located instances on integer line points, so client locations are
+    often equidistant from a facility, with interleaved client blocks."""
+    spots = draw(st.integers(2, 6))
+    positions = np.array(draw(st.lists(st.integers(0, 8), min_size=spots, max_size=spots,
+                                       unique=True)), float)
+    cross = np.abs(positions[:, None] - positions[None, :])
+    blocks = draw(st.lists(st.tuples(st.integers(0, spots - 1), st.integers(1, 4)),
+                           min_size=1, max_size=12))
+    clients = np.repeat([b for b, _ in blocks], [c for _, c in blocks])
+    facilities = draw(st.permutations(range(spots)))  # every row holds a point
+    return MetricInstance(cross=cross, locations=(clients, facilities))
+
+
+class TestFarthestRuns:
+    @settings(max_examples=200)
+    @given(_equidistant_instances())
+    def test_runs_expand_to_the_stable_argsort(self, inst):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_SHORT_RUN", 1)
+            runs = _client_runs(inst)
+            for a in range(inst.m_facilities):
+                expected = inst.locations[0][np.argsort(-inst.dist[:, a], kind="stable")]
+                assert np.array_equal(np.repeat(*harness._farthest_runs(inst, runs, a)), expected)
 
 
 class TestCheckInequalities:
