@@ -279,7 +279,7 @@ def run(argv=None) -> int:
             "warning: %s: %s" % (category.__name__, message), file=sys.stderr)
         try:
             return args.func(args)
-        except (CentrumError, OSError, json.JSONDecodeError) as exc:
+        except (CentrumError, OSError, json.JSONDecodeError, MemoryError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
 

@@ -10,7 +10,6 @@ serialize deterministically so runs can be diffed.
 
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -369,65 +368,70 @@ def check_inequalities(instance, objectives, tol: float = 1e-9) -> VerificationR
     return report
 
 
-def _validate_shared_fields(config) -> None:
-    """The checks of the fields both sweep configs have."""
-    if not isinstance(config.instances, int) or config.instances < 0:
-        raise BadConfig("instances must be a non-negative integer")
-    if not isinstance(config.seed, int) or config.seed < 0:
-        raise BadConfig("seed must be a non-negative integer")
-    if not (isinstance(config.tol, float) and math.isfinite(config.tol) and config.tol > 0):
-        raise BadConfig("tol must be a positive finite float")
-    for kind in config.kinds:
-        if kind not in ("euclidean", "graph"):
-            raise BadConfig("unknown instance kind %r" % (kind,))
-    if not config.kinds:
-        raise BadConfig("kinds must be non-empty")
-
-
-def _config_jsonable(config, sweep: str) -> dict:
-    """{"sweep": sweep} and every field of config in order, with
-    tuples (nested ones too) as lists."""
-
-    def plain(value):
-        return [plain(v) for v in value] if isinstance(value, (tuple, list)) else value
-
-    return {"sweep": sweep, **{f.name: plain(getattr(config, f.name)) for f in fields(config)}}
+_KINDS = ("euclidean", "graph")  # random instance kinds, alternated by job index
+_PAIRS_PER_INSTANCE = 3
+# the tight pair jobs as (k, p), at x = p/k = 1.5, 2, 3, 4, 4.5, 6, 10,
+# 100: the triangle family up to x = 4 and the line family above
+_TIGHT_PAIRS = ((2, 3), (1, 2), (1, 3), (1, 4), (2, 9), (1, 6), (1, 10), (1, 100))
 
 
 @dataclass
-class PairSweepConfig:
-    """Settings for the randomized pair-rule sweep.
+class _SweepConfig:
+    """The settings both sweeps have, their checks and their JSON form."""
 
-    With shared=True the instances place facilities on the client
-    points and the exhaustive rule is measured against the stronger
-    shared-location bound instead.
-    """
+    _sweep = ""  # the report's "sweep" value, set by each subclass; not a field
 
     instances: int = 50
     seed: int = 0
     max_clients: int = 60
     max_facilities: int = 12
-    kinds: tuple = ("euclidean", "graph")
-    pairs_per_instance: int = 3
-    tight_xs: tuple = (1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 10.0, 100.0)
-    shared: bool = False
-    include_checks: bool = True
     tol: float = 1e-9
 
     def validate(self) -> None:
-        _validate_shared_fields(self)
+        for name in ("instances", "seed", "max_clients", "max_facilities"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise BadConfig("%s must be a non-negative integer" % name)
+        if not (isinstance(self.tol, float) and math.isfinite(self.tol) and self.tol > 0):
+            raise BadConfig("tol must be a positive finite float")
+        # a random instance draws 4..max_clients clients, 2..max_facilities facilities
         if self.max_clients < 4 or self.max_facilities < 2:
             raise BadConfig("need max_clients >= 4 and max_facilities >= 2")
-        if self.pairs_per_instance < 1:
-            raise BadConfig("pairs_per_instance must be >= 1")
-        for x in self.tight_xs:
-            if not (x > 1.0 and math.isfinite(x)):
-                raise BadConfig("tight_xs entries must be finite and > 1")
-            if Fraction(x).limit_denominator(1000) != Fraction(x):
-                raise BadConfig("tight x=%r is not a small rational" % (x,))
 
     def to_jsonable(self) -> dict:
-        return _config_jsonable(self, "pair")
+        """{"sweep": ..., **fields} in field order, with tuples (nested
+        ones too) as lists."""
+
+        def plain(value):
+            return [plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+        return {"sweep": self._sweep, **{f.name: plain(getattr(self, f.name)) for f in fields(self)}}
+
+
+@dataclass
+class PairSweepConfig(_SweepConfig):
+    """Settings for the randomized pair-rule sweep.
+
+    Each random job alternates Euclidean and graph instances by job
+    index (_KINDS) and draws three (k, p) pairs (_PAIRS_PER_INSTANCE);
+    eight tight jobs follow, at x = p/k in 1.5, 2, 3, 4, 4.5, 6, 10 and
+    100 (_TIGHT_PAIRS). Every job also runs check_inequalities.
+
+    With shared=True the instances place facilities on the client
+    points and the exhaustive rule is measured against the stronger
+    shared-location bound too.
+    """
+
+    _sweep = "pair"
+
+    shared: bool = False
+
+    def validate(self) -> None:
+        super().validate()
+        if not isinstance(self.shared, bool):
+            raise BadConfig("shared must be a bool")
+        if self.shared and self.max_clients < 5:
+            raise BadConfig("a shared sweep needs max_clients >= 5")
 
 
 _X_BUCKETS = (1.5, 2.0, 3.0, 4.0, 6.0, 10.0, 100.0, math.inf)
@@ -447,16 +451,11 @@ def _x_bucket(x: float, prefix: str = "pair_guarantee", shared: bool = False) ->
     raise AssertionError("unreachable")
 
 
-def _ratio_for_tight_x(x: float) -> tuple:
-    frac = Fraction(x).limit_denominator(1000)
-    return frac.denominator, frac.numerator
-
-
-def _random_instance(kind: str, rng, max_clients: int, max_facilities: int) -> object:
+def _random_instance(index: int, rng, max_clients: int, max_facilities: int) -> object:
     seed = int(rng.integers(0, 2**63 - 1))
     n = int(rng.integers(4, max_clients + 1))
     m = int(rng.integers(2, max_facilities + 1))
-    if kind == "euclidean":
+    if _KINDS[index % len(_KINDS)] == "euclidean":
         dim = int(rng.integers(1, 4))
         return gen_random_euclidean(n, m, dim=dim, seed=seed)
     n_vertices = int(rng.integers(4, max(5, max_clients // 2) + 1))
@@ -466,7 +465,9 @@ def _random_instance(kind: str, rng, max_clients: int, max_facilities: int) -> o
     )
 
 
-def _pair_job(config: PairSweepConfig, index: int) -> VerificationReport:
+def _draw_pair_job(config: PairSweepConfig, index: int) -> tuple:
+    """The instance and the (k, p) pairs of random job index, drawn from
+    the job's own stream."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, index])))
     if config.shared:
         seed = int(rng.integers(0, 2**63 - 1))
@@ -474,41 +475,33 @@ def _pair_job(config: PairSweepConfig, index: int) -> VerificationReport:
         dim = int(rng.integers(1, 4))
         inst = gen_random_euclidean(n, None, dim=dim, seed=seed, shared=True)
     else:
-        kind = config.kinds[index % len(config.kinds)]
-        inst = _random_instance(kind, rng, config.max_clients, config.max_facilities)
-    report = VerificationReport()
+        inst = _random_instance(index, rng, config.max_clients, config.max_facilities)
     n = inst.n_clients
-    ks_seen = set()
-    for _ in range(config.pairs_per_instance):
+    pairs = []
+    for _ in range(_PAIRS_PER_INSTANCE):
         k = int(rng.integers(1, n))
-        p = int(rng.integers(k + 1, n + 1))
-        ks_seen.update((k, p))
+        pairs.append((k, int(rng.integers(k + 1, n + 1))))
+    return inst, pairs
+
+
+def _pair_job(config: PairSweepConfig, inst, pairs, shared: bool) -> VerificationReport:
+    """select_pair for each (k, p) of pairs against f(p/k), and with
+    shared the exhaustive rule against the shared bound; then
+    check_inequalities once, on the sorted ranks of all pairs."""
+    report = VerificationReport()
+    for k, p in pairs:
         x = p / k
         result = select_pair(inst, k, p)
         name, bucket_bound = _x_bucket(x)
-        report.bound(name, bucket_bound).add(
-            result.worst_ratio, pair_bound_f(x), config.tol
-        )
-        if config.shared:
+        report.bound(name, bucket_bound).add(result.worst_ratio, pair_bound_f(x), config.tol)
+        if shared:
             oracle = select_exhaustive(inst, (k, p))
             name, bucket_bound = _x_bucket(x, prefix="shared_guarantee", shared=True)
             report.bound(name, bucket_bound).add(
                 oracle.worst_ratio, pair_bound_shared(x), config.tol
             )
-    if config.include_checks:
-        report.merge(check_inequalities(inst, sorted(ks_seen), tol=config.tol))
-    return report
-
-
-def _tight_pair_job(config: PairSweepConfig, x: float) -> VerificationReport:
-    k, p = _ratio_for_tight_x(x)
-    inst = gen_tight_pair_line(k, p) if x > 4.0 else gen_tight_pair_triangle(k, p)
-    report = VerificationReport()
-    result = select_pair(inst, k, p)
-    name, bucket_bound = _x_bucket(p / k)
-    report.bound(name, bucket_bound).add(result.worst_ratio, pair_bound_f(p / k), config.tol)
-    if config.include_checks:
-        report.merge(check_inequalities(inst, (k, p), tol=config.tol))
+    ranks = sorted({rank for pair in pairs for rank in pair})
+    report.merge(check_inequalities(inst, ranks, tol=config.tol))
     return report
 
 
@@ -522,28 +515,30 @@ def sweep_pair(config: PairSweepConfig | None = None) -> VerificationReport:
     config.validate()
     report = VerificationReport(config=config.to_jsonable())
     for i in range(config.instances):
-        report.merge(_pair_job(config, i))
-    for x in config.tight_xs:
-        report.merge(_tight_pair_job(config, float(x)))
+        inst, pairs = _draw_pair_job(config, i)
+        report.merge(_pair_job(config, inst, pairs, config.shared))
+    for k, p in _TIGHT_PAIRS:
+        inst = gen_tight_pair_line(k, p) if p > 4 * k else gen_tight_pair_triangle(k, p)
+        report.merge(_pair_job(config, inst, [(k, p)], False))
     return report
 
 
 @dataclass
-class MultiSweepConfig:
-    """Settings for the randomized many-objective sweep."""
+class MultiSweepConfig(_SweepConfig):
+    """Settings for the randomized many-objective sweep.
 
-    instances: int = 50
-    seed: int = 0
-    max_clients: int = 60
-    max_facilities: int = 12
-    kinds: tuple = ("euclidean", "graph")
+    Random job i alternates Euclidean and graph instances (_KINDS) and
+    draws qs[i % len(qs)] ranks; one tight triple job per (k, n) of
+    tight_sizes follows. Every job also runs check_inequalities.
+    """
+
+    _sweep = "multi"
+
     qs: tuple = (3, 4, 5)
     tight_sizes: tuple = ((60, 3600),)
-    include_checks: bool = True
-    tol: float = 1e-9
 
     def validate(self) -> None:
-        _validate_shared_fields(self)
+        super().validate()
         if not self.qs or any(not isinstance(q, int) or q < 2 for q in self.qs):
             raise BadConfig("qs must be integers >= 2")
         if self.max_clients < max(self.qs) + 1:
@@ -553,15 +548,11 @@ class MultiSweepConfig:
             if not (isinstance(k, int) and isinstance(n, int) and 1 < k < n):
                 raise BadConfig("tight_sizes entries need 1 < k < n")
 
-    def to_jsonable(self) -> dict:
-        return _config_jsonable(self, "multi")
-
 
 def _multi_job(config: MultiSweepConfig, index: int) -> VerificationReport:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, index])))
-    kind = config.kinds[index % len(config.kinds)]
     q = config.qs[index % len(config.qs)]
-    inst = _random_instance(kind, rng, config.max_clients, config.max_facilities)
+    inst = _random_instance(index, rng, config.max_clients, config.max_facilities)
     n = inst.n_clients
     q = min(q, n)
     ks = tuple(int(v) for v in np.sort(rng.choice(np.arange(1, n + 1), size=q, replace=False)))
@@ -575,8 +566,7 @@ def _multi_job(config: MultiSweepConfig, index: int) -> VerificationReport:
     # informational: how far the rule sits above the best single facility
     gap = report.bound("multi_vs_oracle_gap[q=%d]" % q, float("inf"))
     gap.add(graph_result.worst_ratio - oracle.worst_ratio, float("inf"), config.tol)
-    if config.include_checks:
-        report.merge(check_inequalities(inst, ks, tol=config.tol))
+    report.merge(check_inequalities(inst, ks, tol=config.tol))
     return report
 
 
@@ -589,8 +579,7 @@ def _tight_multi_job(config: MultiSweepConfig, k: int, n: int) -> VerificationRe
     report.bound("multi_guarantee[q=3,tight]", bound).add(
         result.worst_ratio, bound, config.tol
     )
-    if config.include_checks:
-        report.merge(check_inequalities(inst, ks, tol=config.tol))
+    report.merge(check_inequalities(inst, ks, tol=config.tol))
     return report
 
 

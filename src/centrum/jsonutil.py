@@ -18,6 +18,7 @@ from .errors import NonFinite
 _FLOAT_TYPES = {float, np.float64}
 _WRITE_SLICE = 1 << 16  # characters per write in dump_path
 _FORMAT_CELLS = 1 << 16  # matrix entries per %-format in _float_matrix
+_INDENT = 2  # spaces per nesting level
 
 
 def format_float(value: float) -> str:
@@ -66,9 +67,9 @@ def _float_matrix(matrix: np.ndarray, pad: str, inner: str) -> str:
     return "[\n" + inner + "[" + sep.join(blocks) + "]\n" + pad + "]"
 
 
-def _emit(obj, indent: int, level: int, pieces: list) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, level: int, pieces: list) -> None:
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
     if obj is None:
         pieces.append("null")
     elif isinstance(obj, bool):
@@ -88,7 +89,7 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings, got %r" % (key,))
             pieces.append(inner + json.dumps(key) + ": ")
-            _emit(val, indent, level + 1, pieces)
+            _emit(val, level + 1, pieces)
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, np.ndarray) and obj.ndim > 1:
@@ -96,7 +97,7 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             _check_finite(obj)
             pieces.append(_float_matrix(obj, pad, inner))
             return
-        _emit(list(obj), indent, level, pieces)  # row by row: other dtypes
+        _emit(list(obj), level, pieces)  # row by row: other dtypes
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
@@ -112,29 +113,29 @@ def _emit(obj, indent: int, level: int, pieces: list) -> None:
             parts = []
             for v in seq:
                 sub: list = []
-                _emit(v, indent, 0, sub)
+                _emit(v, 0, sub)
                 parts.append("".join(sub))
             pieces.append("[" + ", ".join(parts) + "]")
             return
         pieces.append("[\n")
         for i, val in enumerate(seq):
             pieces.append(inner)
-            _emit(val, indent, level + 1, pieces)
+            _emit(val, level + 1, pieces)
             pieces.append(",\n" if i < len(seq) - 1 else "\n")
         pieces.append(pad + "]")
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     pieces: list = []
-    _emit(obj, indent, 0, pieces)
+    _emit(obj, 0, pieces)
     return "".join(pieces)
 
 
-def dump_path(obj, path, indent: int = 2) -> None:
+def dump_path(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        text = dumps(obj, indent=indent)
+        text = dumps(obj)
         # in slices, so encoding never holds a second copy of a large text
         for start in range(0, len(text), _WRITE_SLICE):
             fh.write(text[start:start + _WRITE_SLICE])

@@ -93,7 +93,6 @@ def test_criterion_3_pair_rule_sweep():
         seed=20260819,
         max_clients=200,
         max_facilities=50,
-        kinds=("euclidean", "graph"),
     )
     report = sweep_pair(config)
     elapsed = time.perf_counter() - start

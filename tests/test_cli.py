@@ -266,6 +266,25 @@ class TestVerify:
     def test_missing_instance_for_lemmas(self, capsys):
         assert run(["verify", "--suite", "lemmas"]) == 2
 
+    def test_allocation_failure_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # validating a 10^5 x 100 points file at tol 0 asks _point_cross for
+        # the whole (n+m)^2 metric; raising stands in for the 74.7 GiB
+        import centrum.metric as metric_mod
+
+        message = "Unable to allocate 74.7 GiB for an array with shape (100100, 100100)"
+
+        def no_memory(points):
+            raise MemoryError(message)
+
+        path = tmp_path / "points.json"
+        save_instance(centrum.gen_random_euclidean(6, 3, seed=1), path)
+        monkeypatch.setattr(metric_mod, "_point_cross", no_memory)
+        argv = ["verify", "--suite", "lemmas", "--instance", str(path), "--tol", "0"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

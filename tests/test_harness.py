@@ -1,6 +1,7 @@
 """Inequality checker and seeded sweep harness."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations, permutations
@@ -703,13 +704,39 @@ class TestSweepPair:
             dict(instances=-1),
             dict(seed=-1),
             dict(max_clients=1),
-            dict(tight_xs=(math.pi,)),
-            dict(kinds=("bogus",)),
+            dict(instances=True),
+            dict(seed=False),
+            dict(max_clients=10.5),
+            dict(max_facilities=3.0),
+            dict(max_facilities=1),
+            dict(shared=True, max_clients=4),
+            dict(shared="no"),
         ],
     )
     def test_config_validation(self, kw):
         with pytest.raises(BadConfig):
             PairSweepConfig(**kw).validate()
+
+    def test_config_fields(self):
+        names = [f.name for f in dataclasses.fields(PairSweepConfig)]
+        assert names == ["instances", "seed", "max_clients", "max_facilities", "tol", "shared"]
+        assert list(PairSweepConfig().to_jsonable()) == ["sweep"] + names
+
+    def test_tight_pairs_grid(self):
+        xs = [p / k for k, p in harness._TIGHT_PAIRS]
+        assert xs == [1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 10.0, 100.0]
+        lines = [p > 4 * k for k, p in harness._TIGHT_PAIRS]
+        assert lines == [x > 4.0 for x in xs]
+
+    def test_no_instances_runs_the_tight_jobs(self):
+        report = sweep_pair(PairSweepConfig(instances=0))
+        buckets = [r for n, r in report.bounds.items() if n.startswith("pair_guarantee")]
+        assert sum(r.observations for r in buckets) == len(harness._TIGHT_PAIRS) == 8
+        assert not any(n.startswith("shared_guarantee") for n in report.bounds)
+        counts = {name: rec.instances for name, rec in report.checks.items()}
+        # the small-ratio bound needs p >= 2k, which x = 1.5 is not
+        assert counts.pop("reciprocal_pair_bound_small_ratio") == 7
+        assert counts and set(counts.values()) == {8}
 
 
 class TestSweepMulti:
@@ -757,6 +784,34 @@ class TestSweepMulti:
     def test_determinism(self):
         config = MultiSweepConfig(instances=5, seed=11, max_clients=14, max_facilities=4)
         assert sweep_multi(config).to_jsonable() == sweep_multi(config).to_jsonable()
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(instances=-1),
+            dict(instances=True),
+            dict(seed=False),
+            dict(max_clients=12.5),
+            dict(max_facilities=3.0),
+            dict(max_facilities=1),
+            dict(qs=(2,), max_clients=3),
+            dict(qs=()),
+            dict(tight_sizes=((3, 3),)),
+        ],
+    )
+    def test_config_validation(self, kw):
+        with pytest.raises(BadConfig):
+            MultiSweepConfig(**kw).validate()
+
+    def test_config_fields(self):
+        names = [f.name for f in dataclasses.fields(MultiSweepConfig)]
+        assert names == [
+            "instances", "seed", "max_clients", "max_facilities", "tol", "qs", "tight_sizes"
+        ]
+        doc = MultiSweepConfig().to_jsonable()
+        assert doc["sweep"] == "multi"
+        assert doc["qs"] == [3, 4, 5]
+        assert doc["tight_sizes"] == [[60, 3600]]
 
 
 def _validate_always(self, tol=1e-9):
