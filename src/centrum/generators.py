@@ -49,9 +49,9 @@ def _expand_locations(
     return inst
 
 
-def _check_rank(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise BadParams("%s must be an integer >= 1, got %r" % (name, value))
+def _check_rank(value, name: str, least: int = 1) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise BadParams("%s must be an integer >= %d, got %r" % (name, least, value))
     return int(value)
 
 
@@ -223,11 +223,11 @@ def gen_random_euclidean(
     n_clients = _check_rank(n_clients, "n_clients")
     if not shared:
         m_facilities = _check_rank(m_facilities, "m_facilities")
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise BadParams("dim must be an integer >= 1, got %r" % (dim,))
+    dim = _check_rank(dim, "dim")
+    seed = _check_rank(seed, "seed", least=0)
     rng = np.random.Generator(np.random.Philox(seed))
-    cpts = rng.random((n_clients, int(dim)))
-    fpts = cpts if shared else rng.random((m_facilities, int(dim)))
+    cpts = rng.random((n_clients, dim))
+    fpts = cpts if shared else rng.random((m_facilities, dim))
     return build_from_points(
         cpts,
         fpts,
@@ -236,8 +236,8 @@ def gen_random_euclidean(
             "family": "random_euclidean",
             "n_clients": n_clients,
             "m_facilities": n_clients if shared else m_facilities,
-            "dim": int(dim),
-            "seed": int(seed),
+            "dim": dim,
+            "seed": seed,
             "shared": bool(shared),
             "rng": "philox4x64",
         },
@@ -261,6 +261,7 @@ def gen_random_graph_metric(
     n_vertices = _check_rank(n_vertices, "n_vertices")
     if not 0.0 <= edge_density <= 1.0:
         raise BadParams("edge_density must be in [0, 1], got %r" % (edge_density,))
+    seed = _check_rank(seed, "seed", least=0)
     rng = np.random.Generator(np.random.Philox(seed))
     vertices = list(range(n_vertices))
     edges = []
@@ -296,7 +297,7 @@ def gen_random_graph_metric(
             "family": "random_graph",
             "n_vertices": n_vertices,
             "edge_density": float(edge_density),
-            "seed": int(seed),
+            "seed": seed,
             "rng": "philox4x64",
         },
     )

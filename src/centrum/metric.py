@@ -10,9 +10,9 @@ subset-sum check) never holds the per-client matrix. Instances built
 from graph shortest paths or the tight generators get the cross
 matrix for free; instances built from a bare matrix only get one if the
 caller supplies it, which is read as one location per point. A
-point-cloud instance keeps its coordinates and norm instead, derives
-only the client-facility distances from them, holds no cross matrix,
-and is saved as those coordinates.
+point-cloud instance keeps its coordinates and norm instead, holds no
+cross matrix, and is saved as those coordinates; its dist is derived
+from them on the first read and kept, like a located instance's.
 
 Point and graph instances are metrics by construction. Each records a
 relative rounding bound, and MetricInstance.violations(tol) re-checks
@@ -20,9 +20,10 @@ the triangle inequality only at tol below it, where rounding could
 show; there a point instance's metric over all its points is built for
 that check alone. Every other cross matrix is validated.
 
-scipy is imported by the functions that need it, so importing this
-module (and the command line) does not load it; scipy.sparse loads only
-for graphs and for validating metrics over more than 64 points.
+Point distances are computed with numpy alone (_norm_distances). scipy
+is used only for graph shortest paths and for the validation gate of
+metrics over more than 64 points, and only those functions import it,
+so importing this module (and the command line) does not load it.
 """
 
 import csv
@@ -46,7 +47,8 @@ from .errors import (
     TriangleViolation,
 )
 
-_NORM_NAMES = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}
+_NORMS = (1, 2, math.inf)
+_KERNEL_CELLS = 1 << 16  # distances per row block of _norm_distances
 _RECHECK_CELLS = 1 << 18  # (pair, middle point) cells per recheck block
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -101,7 +103,7 @@ def _as_points(points) -> tuple:
         cpts, fpts, norm = points
         cpts, fpts = (np.array(p, dtype=float) for p in (cpts, fpts))
         norm = math.inf if norm == "inf" else norm
-        known = norm in _NORM_NAMES
+        known = not isinstance(norm, (bool, np.bool_)) and norm in _NORMS
     except (TypeError, ValueError) as exc:
         raise BadParams("points must be (client_points, facility_points, norm): %s" % exc) from None
     # a flat vector is n points on the line, not one n-dimensional point
@@ -191,17 +193,60 @@ def _gather(cross: np.ndarray, rows, cols) -> np.ndarray:
     return cross[:, cols].take(rows, axis=0)
 
 
+@np.errstate(over="ignore")  # an overflowing distance is inf, which its callers reject
+def _norm_distances(a: np.ndarray, b: np.ndarray, norm) -> np.ndarray:
+    """The (len(a), len(b)) matrix of distances between the rows of a and
+    b under the L1, L2 or Linf norm (1, 2 or math.inf).
+
+    Each distance takes the coordinates one at a time, in their order:
+    it adds up their absolute differences (L1), adds up their squared
+    differences and takes the square root (L2), or keeps the largest
+    absolute difference (Linf). That is the order of
+    scipy.spatial.distance.cdist, so the two agree bit for bit, and the
+    output is exactly symmetric, with a zero diagonal, when a is b. The
+    rows are taken in blocks of about _KERNEL_CELLS distances, so the
+    work space beyond the output is one block. (A reduction of a
+    (dim, rows, m) block over its first axis is not used: numpy sums a
+    single-cell block pairwise.)
+    """
+    n, dim = a.shape
+    m = len(b)
+    out = np.zeros((n, m))
+    fold = np.square if norm == 2 else np.abs
+    combine = np.maximum if norm == math.inf else np.add
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    step = max(1, _KERNEL_CELLS // m)
+    block = np.empty((min(step, n), m))
+    for lo in range(0, n, step):
+        rows = out[lo:lo + step]
+        diff = block[:len(rows)]
+        for k in range(dim):
+            np.subtract(at[k, lo:lo + step, None], bt[k], out=diff)
+            fold(diff, out=diff)
+            combine(rows, diff, out=rows)
+    if norm == 2:
+        np.sqrt(out, out=out)
+    return out
+
+
 class _DistField:
-    """MetricInstance.dist. It is stored under _dist. A located instance
-    stores None there and derives dist = cross[np.ix_(*locations)] on
-    the first read, read-only, and keeps it."""
+    """MetricInstance.dist. It is stored under _dist. A located or point
+    instance stores None there and derives dist on the first read, as
+    cross[np.ix_(*locations)] or as the distances between its client and
+    facility points, read-only, and keeps it. A point distance that
+    overflows raises NonFinite there."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return None  # the dataclass default
         dist = instance._dist
-        if dist is None:  # only a located instance stores None
-            dist = _gather(instance.cross, *instance.locations)
+        if dist is None:  # only a located or point instance stores None
+            if instance.points is not None:
+                dist = _norm_distances(*instance.points)
+                if not np.isfinite(dist.max()):  # nonnegative: the maximum is finite iff all are
+                    _check_entries(dist, "dist")
+            else:
+                dist = _gather(instance.cross, *instance.locations)
             dist.setflags(write=False)
             object.__setattr__(instance, "_dist", dist)
         return dist
@@ -233,9 +278,11 @@ class MetricInstance:
     shape (n+m, n+m), clients first, and takes locations = (arange(n),
     arange(n, n + m)).
     With points = (client_points, facility_points, norm), norm 1, 2 or
-    inf, dist is derived from the coordinates and there is no cross:
-    the metric over all n + m points is built only where validation
-    needs it.
+    inf, there is no cross, and dist is derived from the coordinates on
+    its first read and kept; n_clients and m_facilities count the
+    points, and a client-facility distance that overflows raises
+    NonFinite at that read. The metric over all n + m points is built
+    only where validation needs it.
 
     A dist given with a cross or with points must be bit-equal to the
     derived one, so dataclasses.replace works on every instance; a
@@ -282,25 +329,18 @@ class MetricInstance:
                     raise BadParams("%s differs from the one derived from points or cross" % name)
 
     def _derive_from_points(self) -> dict:
-        """Set points and dist = cdist(clients, facilities) from the given
-        points; return the dist the caller passed too. cdist's output
-        needs none of the bare-matrix guards: it is nonnegative. Only
-        coordinates so far apart that a client-facility distance
-        overflows are rejected."""
+        """Set points from copies of the given ones, with no dist yet: the
+        first read derives it with _norm_distances, whose output is
+        nonnegative and so needs none of the bare-matrix guards, only a
+        finiteness check. Return the dist the caller passed too."""
         if self.locations is not None or self.cross is not None:
             raise BadParams("an instance takes points, or a cross matrix, not both")
-        from scipy.spatial.distance import cdist
-
         points = _as_points(self.points)
         if len(points[0]) < 1 or len(points[1]) < 1:
             raise BadParams("instance needs at least one client and one facility")
-        dist = cdist(points[0], points[1], metric=_NORM_NAMES[points[2]])
-        if not np.isfinite(dist.max()):  # nonnegative: the maximum is finite iff all are
-            _check_entries(dist, "dist")
-        dist.setflags(write=False)
         given = {"dist": self._dist}
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "dist", None)  # derived on the first read
         dim = points[0].shape[1]
         if dim < 2**20:  # where the bound's proof holds (see violations)
             object.__setattr__(self, "_rounding", (2 * dim + 8) * _U)
@@ -334,7 +374,11 @@ class MetricInstance:
             if not np.allclose(cross, cross.T, rtol=0, atol=1e-9):
                 i, j = np.argwhere(~np.isclose(cross, cross.T, rtol=0, atol=1e-9))[0]
                 raise AsymmetricCross("cross[%d][%d] != cross[%d][%d]" % (i, j, j, i))
-            _symmetrize(cross)
+            # average only the entries that differ, so no symmetric one overflows
+            odd = cross != cross.T
+            cross[odd] = (cross[odd] + cross.T[odd]) / 2.0
+            if not np.isfinite(cross.max()):
+                _check_entries(cross, "cross")
         if np.any(np.diag(cross) != 0):
             i = int(np.argwhere(np.diag(cross) != 0)[0][0])
             raise NonzeroDiagonal("cross[%d][%d] = %g" % (i, i, cross[i, i]))
@@ -346,14 +390,14 @@ class MetricInstance:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        if self.locations is not None:
+        if self.locations is not None or self.points is not None:
             state["_dist"] = None  # derived again on the first read
         return state
 
     def __setstate__(self, state: dict) -> None:
         # pickle restores arrays writeable; the instance's own are
         # read-only, and a dist derived later is right only while cross
-        # and locations stay as they were
+        # and locations, or points, stay as they were
         for value in state.values():
             for array in value if isinstance(value, tuple) else (value,):
                 if isinstance(array, np.ndarray):
@@ -364,12 +408,16 @@ class MetricInstance:
     def n_clients(self) -> int:
         if self.locations is not None:
             return len(self.locations[0])
+        if self.points is not None:
+            return len(self.points[0])
         return self._dist.shape[0]
 
     @property
     def m_facilities(self) -> int:
         if self.locations is not None:
             return len(self.locations[1])
+        if self.points is not None:
+            return len(self.points[1])
         return self._dist.shape[1]
 
     @cached_property
@@ -421,18 +469,19 @@ class MetricInstance:
         least c[x,z] >= (1 - delta) D[x,z], and rounding tol times it
         loses at most a factor 1 - u. So no triple is violated once
         tol >= (2 delta + u)(1 + delta + 3u). While dim and V stay below
-        2**20 the second-order part is under 5u, which the bounds below
-        leave as margin over 2 delta + u.
+        2**20 the second-order part is under u, and the bounds below
+        leave at least 4u of margin over 2 delta + u.
 
         - Points: each coordinate difference rounds once (exactly, when
-          subnormal). L1 sums dim of them, in any order, adding
-          (dim - 1) u: delta <= dim u. L2 squares them (2u more), sums,
-          and takes a square root, which halves the relative error and
-          adds u: delta <= (dim/2 + 2) u. Linf takes a maximum:
-          delta <= u. The metric over all points that validate_metric
-          checks averages (c + c.T) / 2 where cdist's output is not
-          symmetric, adding u, so delta <= (dim + 1) u, and 2 delta + u
-          <= (2 dim + 3) u. Squares that underflow add an absolute
+          subnormal). L1 sums dim of them, in the kernel's fixed
+          coordinate order, adding (dim - 1) u: delta <= dim u. L2
+          squares them (2u more), sums, and takes a square root, which
+          halves the relative error and adds u: delta <= (dim/2 + 2) u.
+          Linf takes a maximum: delta <= u. The kernel's fixed
+          coordinate order makes the metric over all points that
+          validate_metric checks exactly symmetric, so nothing is
+          averaged: delta <= (dim + 3/2) u, and 2 delta + u
+          <= (2 dim + 4) u. Squares that underflow add an absolute
           error below 2**-500 per distance, which the 1 in the scale
           absorbs. A coordinate dimension of 2**20 or more gets no
           bound.
@@ -471,27 +520,15 @@ class MetricInstance:
 
 def _point_cross(points) -> np.ndarray:
     """The metric over all n + m points of a point instance, clients
-    first: cdist over every point, averaged as (c + c.T) / 2 wherever it
-    is not exactly symmetric, with a zero diagonal. Its client-facility
-    block is the instance's dist, bit for bit. Raises NonFinite where a
-    distance between two points overflows."""
-    from scipy.spatial.distance import cdist
-
+    first: _norm_distances over every point, whose fixed coordinate
+    order makes it exactly symmetric with a zero diagonal. Its
+    client-facility block is the instance's dist, bit for bit. Raises
+    NonFinite where a distance between two points overflows."""
     everything = np.vstack(points[:2])
-    cross = cdist(everything, everything, metric=_NORM_NAMES[points[2]])
-    np.fill_diagonal(cross, 0.0)
-    _symmetrize(cross)
-    return cross
-
-
-def _symmetrize(cross: np.ndarray) -> None:
-    """Average cross in place as (c + c.T) / 2 only where c != c.T, so
-    no symmetric entry overflows; raise NonFinite on a non-finite entry."""
-    odd = cross != cross.T
-    if odd.any():
-        cross[odd] = (cross[odd] + cross.T[odd]) / 2.0
+    cross = _norm_distances(everything, everything, points[2])
     if not np.isfinite(cross.max()):
         _check_entries(cross, "cross")
+    return cross
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf sum, slack -inf, violates nothing

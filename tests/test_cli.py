@@ -58,6 +58,41 @@ def test_import_and_bounds_load_no_scipy():
     assert done.stdout.startswith("beta")
 
 
+def test_points_path_loads_no_scipy(tmp_path):
+    # gen, solve, graph and verify on a points file compute their
+    # distances with numpy; only validation below the rounding bound
+    # (--tol 0) reaches _point_cross, and over 64 points its scipy.sparse
+    # gate; at tol 0 this file's rounding shows as violations, exit 3
+    script = (
+        "import sys\n"
+        "import centrum.cli, centrum.metric as metric\n"
+        "run = centrum.cli.run\n"
+        "loaded = lambda name: sorted(m for m in sys.modules if (m + '.').startswith(name + '.'))\n"
+        "crosses = []\n"
+        "point_cross = metric._point_cross\n"
+        "metric._point_cross = lambda points: crosses.append(1) or point_cross(points)\n"
+        "path = sys.argv[1]\n"
+        "assert run(['gen', '--family', 'euclid', '-n', '60', '-m', '20', '--seed', '3',\n"
+        "            '-o', path]) == 0\n"
+        "assert run(['solve', path, '--objectives', '1,60', '--method', 'pair']) == 0\n"
+        "for method in ('largest', 'graph', 'exhaustive'):\n"
+        "    assert run(['solve', path, '--objectives', '1,6,60', '--method', method]) == 0\n"
+        "assert run(['graph', path, '--objectives', '1,6,60']) == 0\n"
+        "assert run(['verify', '--suite', 'lemmas', '--instance', path]) == 0\n"
+        "assert run(['verify', '--suite', 'shared', '--instances', '3']) == 0\n"
+        "assert loaded('scipy') == [] and crosses == [], (loaded('scipy'), crosses)\n"
+        "assert run(['verify', '--suite', 'lemmas', '--instance', path, '--tol', '0']) == 3\n"
+        "assert crosses == [1], crosses\n"
+        "assert loaded('scipy.sparse') and loaded('scipy.spatial') == [], loaded('scipy')\n"
+    )
+    src = os.path.dirname(os.path.dirname(centrum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "euclid.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 class TestBounds:
     def test_beta_three(self, capsys):
         assert run(["bounds", "--beta", "3"]) == 0
@@ -181,6 +216,17 @@ class TestGen:
     def test_rejects_out_of_range_family_params(self, capsys):
         assert run(["gen", "--family", "line", "-k", "2", "-p", "4"]) == 2
         assert run(["gen", "--family", "triangle", "-k", "1", "-p", "9"]) == 2
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "euclid", "-n", "3", "-m", "2"],
+        ["--family", "graph", "--vertices", "5"],
+    ])
+    def test_negative_seed_is_input_error(self, capsys, family):
+        # it ended in a traceback from numpy's SeedSequence
+        assert run(["gen", *family, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_euclid_deterministic_for_seed(self, tmp_path):
         a = tmp_path / "a.json"

@@ -191,17 +191,35 @@ class TestTripleLocationMetric:
 
 
 class TestRandomEuclidean:
-    def test_memory_is_the_client_facility_matrix(self):
-        # the metric over all 200,020 points would take 320 GB; the
-        # instance keeps dist, 32 MB, and the coordinates
+    def test_gen_holds_no_dist(self):
+        # the instance keeps the coordinates, 3.2 MB, drawn and then copied
         tracemalloc.start()
         try:
             inst = gen_random_euclidean(2 * 10**5, 20, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert inst.dist.shape == (2 * 10**5, 20)
-        assert peak <= 2.5 * inst.dist.nbytes
+        assert inst._dist is None and inst.n_clients == 2 * 10**5
+        assert peak <= 2.5 * inst.points[0].nbytes
+
+    def test_memory_is_the_client_facility_matrix(self):
+        # the metric over all 200,020 points would take 320 GB; the first
+        # read of dist holds dist, 32 MB, and one block of differences
+        inst = gen_random_euclidean(2 * 10**5, 20, seed=1)
+        tracemalloc.start()
+        try:
+            dist = inst.dist
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.shape == (2 * 10**5, 20)
+        assert peak <= 1.25 * dist.nbytes
+
+    @pytest.mark.parametrize("dim", [True, 1.0, "2", None])
+    def test_rejects_non_integer_dim(self, dim):
+        # dim=True built a 1-d instance
+        with pytest.raises(BadParams, match="dim must be an integer >= 1"):
+            gen_random_euclidean(3, 2, dim=dim, seed=0)
 
     def test_shape_and_determinism(self):
         a = gen_random_euclidean(50, 10, dim=2, seed=7)
@@ -265,3 +283,23 @@ class TestRandomGraphMetric:
     def test_rejects_bad_params(self, nv, density):
         with pytest.raises(BadParams):
             gen_random_graph_metric(nv, density, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False, np.bool_(True), "3", None])
+@pytest.mark.parametrize("build", [
+    lambda seed: gen_random_euclidean(3, 2, seed=seed),
+    lambda seed: gen_random_graph_metric(5, 0.3, seed=seed),
+], ids=["euclid", "graph"])
+def test_seed_must_be_a_nonnegative_integer(build, seed):
+    # -1 failed inside numpy's SeedSequence, 1.5 with a TypeError, and
+    # True was taken and recorded as 1
+    with pytest.raises(BadParams, match="seed must be an integer >= 0"):
+        build(seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), 2**70])
+def test_integer_seeds_accepted_and_recorded(seed):
+    for inst in (gen_random_euclidean(3, 2, seed=seed), gen_random_graph_metric(4, 0.5, seed=seed)):
+        assert inst.provenance["seed"] == int(seed) and type(inst.provenance["seed"]) is int
+    again = gen_random_euclidean(3, 2, seed=int(seed))
+    assert again.points[0].tobytes() == gen_random_euclidean(3, 2, seed=seed).points[0].tobytes()

@@ -45,6 +45,7 @@ from centrum.errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
+from centrum.metric import _KERNEL_CELLS, _norm_distances
 from centrum.objectives import _SHORT_RUN
 
 from conftest import (
@@ -80,6 +81,15 @@ def loop_validate(instance, tol=1e-9):
             if x < z and x != y and z != y:
                 out.append(("triangle", (label(x), label(y), label(z)), float(slack[x, z])))
     return out
+
+
+_CDIST_METRICS = {1: "cityblock", 2: "euclidean", math.inf: "chebyshev"}
+
+
+def cdist_oracle(a, b, norm):
+    """scipy's cdist, which _norm_distances replaced, kept as its
+    differential oracle."""
+    return cdist(a, b, metric=_CDIST_METRICS[norm])
 
 
 def records(violations):
@@ -314,6 +324,85 @@ class TestBuildFromPoints:
         assert inst.metric_verified
 
 
+@st.composite
+def kernel_inputs(draw):
+    """(a, b, norm, cells) for _norm_distances with _KERNEL_CELLS = cells:
+    dims 0-60; coordinates at mixed scales (1e-6 to 1e6 per entry), small
+    integers, or a few tied values with rows shared between a and b;
+    1 x k and k x 1 shapes; and, with small blocks, row counts just
+    below, at and just above one or two blocks."""
+    dim = draw(st.integers(0, 60))
+    norm = draw(st.sampled_from([1, 2, math.inf]))
+    m = draw(st.sampled_from([1, draw(st.integers(2, 40))]))
+    cells = draw(st.sampled_from([_KERNEL_CELLS, draw(st.integers(1, 120))]))
+    step = max(1, cells // m)
+    n = draw(st.one_of(
+        st.sampled_from([1, draw(st.integers(2, 30))]),
+        st.builds(lambda j, d: min(max(1, j * step + d), 400),
+                  st.integers(1, 2), st.integers(-1, 1)),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["scaled", "integer", "tied"]))
+    if style == "scaled":
+        a, b = (rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-6, 7, size=(k, dim))
+                for k in (n, m))
+    elif style == "integer":
+        a, b = (rng.integers(-5, 6, size=(k, dim)).astype(float) for k in (n, m))
+    else:
+        a, b = (rng.choice([0.0, 0.5, -1.25, 3.0], size=(k, dim)) for k in (n, m))
+        shared = min(n, m)
+        b[:shared // 2] = a[:shared // 2]
+    return a, b, norm, cells
+
+
+def blocked_distances(a, b, norm, cells):
+    """_norm_distances with row blocks of cells // len(b) rows."""
+    import centrum.metric as metric_mod
+
+    saved = metric_mod._KERNEL_CELLS
+    metric_mod._KERNEL_CELLS = cells
+    try:
+        return _norm_distances(a, b, norm)
+    finally:
+        metric_mod._KERNEL_CELLS = saved
+
+
+class TestNormDistances:
+    """_norm_distances against cdist, which it replaced."""
+
+    @staticmethod
+    def assert_bit_equal(a, b, norm, cells=_KERNEL_CELLS):
+        got = blocked_distances(a, b, norm, cells)
+        expected = cdist_oracle(a, b, norm)
+        assert got.shape == expected.shape == (len(a), len(b))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @given(kernel_inputs())
+    def test_bit_equal_to_cdist(self, case):
+        self.assert_bit_equal(*case)
+
+    @given(kernel_inputs())
+    def test_exactly_symmetric_with_a_zero_diagonal(self, case):
+        # what lets _point_cross skip the average of (c + c.T) / 2
+        a, _, norm, cells = case
+        a = a[:60]
+        got = blocked_distances(a, a, norm, cells)
+        assert np.array_equal(got, got.T) and not np.diag(got).any()
+
+    def test_rows_across_the_real_block_edge(self):
+        rng = np.random.default_rng(4)
+        step = _KERNEL_CELLS // 7
+        b = rng.normal(size=(7, 3))
+        for norm in (1, 2, math.inf):
+            for n in (step - 1, step, step + 1, 2 * step + 1):
+                self.assert_bit_equal(rng.normal(size=(n, 3)), b, norm)
+
+    def test_overflow_is_inf_without_a_warning(self):
+        got = _norm_distances(np.array([[1e308], [0.0]]), np.array([[-1e308]]), 1)
+        assert got.tolist() == [[math.inf], [1e308]]
+        assert _norm_distances(np.array([[1e200]]), np.array([[0.0]]), 2)[0, 0] == math.inf
+
+
 class TestPointsField:
     """The points field and the guards of the constructor."""
 
@@ -371,11 +460,19 @@ class TestPointsField:
         with pytest.raises(NonFinite):
             MetricInstance(points=([[float("inf")]], [[1.0]], 2))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflow_and_empty_sides_rejected(self):
-        # a client-facility distance of 2e308 overflows
-        with pytest.raises(NonFinite, match=r"^dist\[0\]\[0\] is not finite"):
-            MetricInstance(points=([[1e308]], [[-1e308]], 2))
+    def test_overflow_and_empty_sides_rejected(self, tmp_path, capsys):
+        # a client-facility distance of 2e308 overflows when dist is first
+        # read, which the constructor leaves to the instance's readers
+        inst = MetricInstance(points=([[0.0], [1e308]], [[-1e308]], 1))
+        assert (inst.n_clients, inst.m_facilities) == (2, 1) and inst._dist is None
+        for _ in range(2):  # a failed read keeps nothing, so it fails again
+            with pytest.raises(NonFinite, match=r"^dist\[1\]\[0\] is not finite"):
+                inst.dist
+            assert inst._dist is None
+        path = tmp_path / "far.json"
+        save_instance(inst, path)
+        assert run(["solve", str(path), "--objectives", "1,2"]) == 2
+        assert capsys.readouterr().err == "error: dist[1][0] is not finite\n"
         for points in (([], [[1.0]], 2), ([[0.0]], np.zeros((0, 1)), 2)):
             with pytest.raises(BadParams, match="at least one client and one facility"):
                 MetricInstance(points=points)
@@ -398,6 +495,15 @@ class TestPointsField:
         for norm in (3, 0, -1, "two", "Inf", None, [2], float("nan")):
             with pytest.raises(BadParams):
                 MetricInstance(points=([[0.0]], [[1.0]], norm))
+
+    def test_bool_norm_rejected(self):
+        # True == 1: it built an L1 instance and was saved back as "norm": 1
+        for norm in (True, False, np.True_):
+            with pytest.raises(BadParams, match="norm must be 1, 2, or inf"):
+                MetricInstance(points=([[0.0]], [[1.0]], norm))
+        doc = {"client_points": [[0.0]], "facility_points": [[1.0]], "norm": True}
+        with pytest.raises(BadParams):
+            instance_from_dict(doc)
 
 
 class TestReplace:
@@ -950,16 +1056,68 @@ class TestLazyDist:
                 assert not copy.dist.flags.writeable and copy.dist is copy.dist, name
                 assert jsonutil.dumps(instance_to_dict(copy)) == doc, name
 
-    def test_other_instances_keep_an_eager_dist(self):
-        for inst in (build_from_matrix([[1.0, 2.0], [3.0, 4.0]]),
-                     gen_random_euclidean(5, 3, seed=1)):
+    def test_other_instances_keep_an_eager_dist(self, tmp_path):
+        # only a bare matrix is its own dist: a point instance derives it
+        # too (test_point_instances_derive_it_on_first_read)
+        table = tmp_path / "bare.csv"
+        table.write_text("f0,f1\n1,2\n3,4\n")
+        for inst in (build_from_matrix([[1.0, 2.0], [3.0, 4.0]]), load_instance(table)):
             assert inst._dist is not None and inst.dist is inst._dist
-            assert inst.locations is None
-            assert inst.dist.shape == (inst.n_clients, inst.m_facilities)
+            assert inst.locations is None and inst.points is None
+            assert inst.dist.shape == (inst.n_clients, inst.m_facilities) == (2, 2)
             copy = pickle.loads(pickle.dumps(inst))
+            assert copy._dist is not None  # a pickle keeps what nothing derives
             assert copy.dist.tobytes() == inst.dist.tobytes()
-            arrays = [copy.dist] + list(copy.points[:2] if copy.points else [])
-            assert not any(a.flags.writeable for a in arrays)
+            assert not copy.dist.flags.writeable
+        points = gen_random_euclidean(5, 3, seed=1)
+        assert points._dist is None
+        points.dist
+        copy = pickle.loads(pickle.dumps(points))
+        assert copy._dist is None
+        assert not any(a.flags.writeable for a in copy.points[:2])
+
+    @staticmethod
+    def point_cases(tmp_path):
+        """(name, build): point instances under each norm, shared, in
+        dim 0, 1 and 3, and loaded from a saved file."""
+        rng = np.random.default_rng(8)
+        cpts, fpts = rng.normal(size=(7, 3)), rng.normal(size=(4, 3))
+        saved = tmp_path / "euclid.json"
+        save_instance(gen_random_euclidean(11, 5, dim=2, seed=6), saved)
+        return [
+            ("euclid", lambda: gen_random_euclidean(9, 4, dim=3, seed=2)),
+            ("shared", lambda: gen_random_euclidean(6, None, dim=1, seed=3, shared=True)),
+            ("l1", lambda: build_from_points(cpts, fpts, norm=1)),
+            ("linf", lambda: build_from_points(cpts, fpts, norm="inf")),
+            ("dim0", lambda: build_from_points(np.zeros((3, 0)), np.zeros((2, 0)))),
+            ("loaded", lambda: load_instance(saved)),
+        ]
+
+    def test_point_instances_derive_it_on_first_read(self, tmp_path):
+        for name, build in self.point_cases(tmp_path):
+            inst = build()
+            cpts, fpts, norm = inst.points
+            assert inst._dist is None, name
+            assert (inst.n_clients, inst.m_facilities) == (len(cpts), len(fpts)), name
+            doc = jsonutil.dumps(instance_to_dict(inst))
+            unread = pickle.loads(pickle.dumps(inst))
+            assert inst.violations() == [], name  # at the rounding bound: no matrix
+            assert inst._dist is None, name  # saving and pickling read the points only
+            dist = inst.dist
+            expected = cdist_oracle(cpts, fpts, norm)
+            assert dist.shape == expected.shape == (len(cpts), len(fpts)), name
+            assert dist.dtype == expected.dtype and dist.tobytes() == expected.tobytes(), name
+            assert not dist.flags.writeable, name
+            assert inst.dist is dist, name
+            assert jsonutil.dumps(instance_to_dict(inst)) == doc, name
+            assert unread._dist is None, name
+            assert pickle.loads(pickle.dumps(inst))._dist is None, name
+            for copy in (unread, pickle.loads(pickle.dumps(inst)),
+                         dataclasses.replace(inst), dataclasses.replace(unread)):
+                assert (copy.n_clients, copy.m_facilities) == dist.shape, name
+                assert copy.dist.tobytes() == dist.tobytes(), name
+                assert not copy.dist.flags.writeable and copy.dist is copy.dist, name
+                assert jsonutil.dumps(instance_to_dict(copy)) == doc, name
 
     def test_a_given_dist_is_still_checked(self):
         inst = gen_tight_triple(3, 12)
