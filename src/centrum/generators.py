@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import pair_bound_f
 from .errors import BadKN, BadParams, RatioTooLarge, RatioTooSmall
-from .metric import MetricInstance, _Labels, build_from_graph, build_from_points
+from .metric import MetricInstance, _Labels, _shortest_paths, build_from_graph, build_from_points
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -151,17 +151,13 @@ _TRIPLE_EDGES = [
 
 def triple_location_metric() -> tuple:
     """(labels, cross) for the six locations of the three-objective
-    worst case, distances taken as shortest paths over its edge list
-    (a Floyd-Warshall closure; equal, bit for bit, to Dijkstra's)."""
+    worst case, distances taken as shortest paths over its edge list."""
     index = {v: i for i, v in enumerate(_TRIPLE_VERTICES)}
     size = len(_TRIPLE_VERTICES)
-    cross = np.full((size, size), np.inf)
-    np.fill_diagonal(cross, 0.0)
+    adj = np.full((size, size), np.inf)
     for u, v, w in _TRIPLE_EDGES:
-        cross[index[u], index[v]] = cross[index[v], index[u]] = w
-    for y in range(size):
-        np.minimum(cross, cross[:, y, None] + cross[None, y, :], out=cross)
-    return list(_TRIPLE_VERTICES), cross
+        adj[index[u], index[v]] = adj[index[v], index[u]] = w
+    return list(_TRIPLE_VERTICES), _shortest_paths(adj, np.arange(size))
 
 
 def gen_tight_triple(k: int, n: int) -> MetricInstance:
@@ -220,6 +216,8 @@ def gen_random_euclidean(
     (m_facilities is ignored). Same seed, same instance: draws come
     from a counter-based generator keyed only by the seed.
     """
+    if not isinstance(shared, (bool, np.bool_)):
+        raise BadParams("shared must be True or False, got %r" % (shared,))
     n_clients = _check_rank(n_clients, "n_clients")
     if not shared:
         m_facilities = _check_rank(m_facilities, "m_facilities")
@@ -259,7 +257,8 @@ def gen_random_graph_metric(
     sampled with replacement, so repeats can occur.
     """
     n_vertices = _check_rank(n_vertices, "n_vertices")
-    if not 0.0 <= edge_density <= 1.0:
+    if (not isinstance(edge_density, (int, float, np.integer, np.floating))
+            or isinstance(edge_density, bool) or not 0.0 <= edge_density <= 1.0):
         raise BadParams("edge_density must be in [0, 1], got %r" % (edge_density,))
     seed = _check_rank(seed, "seed", least=0)
     rng = np.random.Generator(np.random.Philox(seed))

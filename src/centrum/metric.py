@@ -20,10 +20,8 @@ the triangle inequality only at tol below it, where rounding could
 show; there a point instance's metric over all its points is built for
 that check alone. Every other cross matrix is validated.
 
-Point distances are computed with numpy alone (_norm_distances). scipy
-is used only for graph shortest paths and for the validation gate of
-metrics over more than 64 points, and only those functions import it,
-so importing this module (and the command line) does not load it.
+Point distances, graph shortest paths (_shortest_paths) and the
+validation gate are computed with numpy alone.
 """
 
 import csv
@@ -546,11 +544,13 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     (x, y, z) with x < z, y not in {x, z}, is violated when, with every
     operation rounded as written, t = c[x,y] + c[y,z] and
     c[x,z] - t > tol * max(1, c[x,z], t). The exact test runs only on
-    the pairs (x, z) that a compiled gate flags, over every y.
+    the pairs (x, z) that a gate flags, over every y.
 
-    The gate is the Floyd-Warshall closure D of cross. Each update
-    D[x,z] = min(D[x,z], D[x,y] + D[y,z]) adds entries no larger than
-    cross, and rounded addition is monotone, so D[x,z] <= t for every y.
+    The gate is the Floyd-Warshall closure D of cross, built in place
+    one middle point y at a time. Each update D[x,z] = min(D[x,z],
+    D[x,y] + D[y,z]) adds entries no larger than cross, and rounded
+    addition is monotone, so D[x,z] <= t for every y. A zero distance
+    (shared locations, repeated graph vertices) is an edge of length 0.
     With tol >= 0 a violation needs t < c = c[x,z], so its threshold is
     tau = tol * max(1, c). From fl(c - t) <= (c - t)(1 + u), u = 2**-53,
     a violation gives t < c - tau/(1 + u) <= c - tau + u*tau. The gate
@@ -559,13 +559,7 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     u*(c + tau)), so every violated pair is flagged. Pairs flagged but
     not violated, such as a chain of sub-tolerance shortcuts that add
     up past the threshold, fail the exact test and are dropped. A
-    negative or NaN tol flags every pair, and so does a matrix of at
-    most 64 points, whose N**3 cells the exact test covers in one block.
-
-    Zero off-diagonal distances (shared locations, repeated graph
-    vertices) must stay edges of length 0. A dense matrix given to
-    shortest_path reads them as missing edges, so the closure is built
-    from a sparse graph whose only missing entries are inf.
+    negative or NaN tol flags every pair.
     """
     if instance.points is not None:
         cross = _point_cross(instance.points)
@@ -576,12 +570,10 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     else:
         cross = instance.cross
     size = cross.shape[0]
-    if tol >= 0 and size**3 > _RECHECK_CELLS:
-        from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-
-        closure = shortest_path(
-            csgraph_from_dense(cross, null_value=np.inf), method="FW", directed=False
-        )
+    if tol >= 0:
+        closure = cross.copy()
+        for y in range(size):
+            np.minimum(closure, closure[:, y, None] + closure[None, y, :], out=closure)
         tau = tol * np.maximum(1.0, cross)
         flagged = closure < (cross - tau) + 2.0**-40 * (cross + tau)
     else:
@@ -617,6 +609,13 @@ def validate_metric(instance: MetricInstance, tol: float = 1e-9) -> list:
     ]
 
 
+def _own_provenance(given) -> dict:
+    """A copy of the given provenance dict; {} for None."""
+    if given is not None and not isinstance(given, dict):
+        raise BadParams("provenance must be a dict (a JSON object), got %s" % type(given).__name__)
+    return dict(given or {})
+
+
 def build_from_matrix(
     dist,
     cross=None,
@@ -637,7 +636,7 @@ def build_from_matrix(
         cross=cross,
         client_labels=tuple(client_labels) if client_labels else (),
         facility_labels=tuple(facility_labels) if facility_labels else (),
-        provenance=dict(provenance or {}),
+        provenance=_own_provenance(provenance),
         locations=locations,
     )
     violations = inst.violations(tol) if inst.cross is not None else []
@@ -664,7 +663,7 @@ def build_from_points(
         points=(client_points, facility_points, norm),
         client_labels=tuple(client_labels) if client_labels else (),
         facility_labels=tuple(facility_labels) if facility_labels else (),
-        provenance=dict(provenance or {}),
+        provenance=_own_provenance(provenance),
     )
 
 
@@ -682,41 +681,44 @@ def build_from_graph(
     vertices (repeats allowed, so several clients may share a vertex).
     Raises DisconnectedGraph if any two referenced vertices have no path.
 
-    The instance holds the metric over the referenced vertices and
-    records the rounding bound (2 V + 4) 2**-53, V = len(vertices), of
-    its shortest-path sums, so violations(tol) skips re-validation at
-    tol at or above it (see MetricInstance.violations).
+    The instance holds the metric over the referenced vertices, computed
+    by _shortest_paths, and records the rounding bound (2 V + 4) 2**-53,
+    V = len(vertices), of its shortest-path sums, so violations(tol)
+    skips re-validation at tol at or above it (see
+    MetricInstance.violations). A malformed edge or id raises BadParams.
     """
-    verts = list(vertices)
-    index = {v: i for i, v in enumerate(verts)}
+    try:
+        verts = list(vertices)
+        index = {v: i for i, v in enumerate(verts)}
+    except TypeError as exc:
+        raise BadParams("vertices must be a sequence of hashable ids: %s" % exc) from None
     if len(index) != len(verts):
         raise BadParams("duplicate vertex ids")
     if not client_ids or not facility_ids:
         raise BadParams("need at least one client and one facility vertex")
     size = len(verts)
-    adj = np.zeros((size, size))
-    for u, v, w in edges:
-        if u not in index or v not in index:
-            raise BadParams("edge endpoint %r is not a vertex" % (u if u not in index else v,))
-        w = float(w)
-        if not math.isfinite(w) or w <= 0:
-            raise NonPositiveWeight("edge (%r, %r) has weight %g" % (u, v, w))
-        i, j = index[u], index[v]
-        if i == j:
-            continue
-        if adj[i, j] == 0 or w < adj[i, j]:
-            adj[i, j] = adj[j, i] = w
+    adj = np.full((size, size), np.inf)
+    try:
+        for u, v, w in edges:
+            if u not in index or v not in index:
+                raise BadParams("edge endpoint %r is not a vertex" % (u if u not in index else v,))
+            w = float(w)
+            if not math.isfinite(w) or w <= 0:
+                raise NonPositiveWeight("edge (%r, %r) has weight %g" % (u, v, w))
+            i, j = index[u], index[v]
+            if i != j and w < adj[i, j]:  # a repeated edge keeps its smallest weight
+                adj[i, j] = adj[j, i] = w
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams("edges must be (u, v, weight), ids and a number: %s" % exc) from None
     try:
         cidx = [index[c] for c in client_ids]
         fidx = [index[f] for f in facility_ids]
     except KeyError as exc:
         raise BadParams("unknown vertex id %r" % (exc.args[0],)) from exc
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
+    except TypeError as exc:
+        raise BadParams("client and facility ids must be vertex ids: %s" % exc) from None
     referenced, rows = np.unique(cidx + fidx, return_inverse=True)
-    cross = shortest_path(csr_matrix(adj), method="D", directed=False, indices=referenced)
-    cross = cross[:, referenced]
+    cross = _shortest_paths(adj, referenced)[:, referenced]
     if not np.all(np.isfinite(cross)):
         raise DisconnectedGraph("some referenced vertices are not connected")
     n = len(cidx)
@@ -725,10 +727,33 @@ def build_from_graph(
         locations=(rows[:n], rows[n:]),
         client_labels=_vertex_labels(client_ids, cidx, "c%d:%s"),
         facility_labels=_vertex_labels(facility_ids, fidx, "f%d:%s"),
-        provenance=dict(provenance or {}),
+        provenance=_own_provenance(provenance),
     )
     object.__setattr__(inst, "_rounding", (2 * size + 4) * _U)
     return inst
+
+
+def _shortest_paths(adj: np.ndarray, sources) -> np.ndarray:
+    """The (len(sources), V) shortest-path distances from each source
+    vertex over an undirected graph on V vertices, with adj[i, j] the
+    weight of edge (i, j) (positive) and inf where there is none.
+
+    Dijkstra's algorithm from every source at once: V rounds, each
+    settling per row the nearest open vertex u and relaxing
+    d = min(d, d[u] + adj[u]). A distance is the minimum of the rounded
+    sums d[u] + w over the vertices u settled before it, so it equals
+    scipy's shortest_path(method="D") bit for bit. Unreachable vertices
+    stay inf: relaxing from a settled or an inf vertex changes nothing.
+    """
+    rows = np.arange(len(sources))
+    d = np.full((len(sources), len(adj)), np.inf)
+    d[rows, sources] = 0.0
+    settled = np.zeros(d.shape, dtype=bool)
+    for _ in range(len(adj)):
+        u = np.where(settled, np.inf, d).argmin(axis=1)
+        settled[rows, u] = True
+        np.minimum(d, d[rows, u, None] + adj[u], out=d)
+    return d
 
 
 def _vertex_labels(ids, positions, fmt: str):
@@ -762,6 +787,15 @@ def instance_to_dict(instance: MetricInstance) -> dict:
     return out
 
 
+def _member(data: dict, key: str, kind: type):
+    """data[key], or None when it is absent or null; BadParams when it
+    is not a kind (dict for a JSON object, list for an array)."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise BadParams("%r must be a JSON %s" % (key, "object" if kind is dict else "array"))
+    return value
+
+
 def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
     """Build an instance from parsed JSON.
 
@@ -772,9 +806,9 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
     """
     if not isinstance(data, dict):
         raise BadParams("instance document must be a JSON object")
-    labels = data.get("labels") or {}
-    client_labels = data.get("clients") or labels.get("clients")
-    facility_labels = data.get("facilities") or labels.get("facilities")
+    labels = _member(data, "labels", dict) or {}
+    client_labels = _member(data, "clients", list) or _member(labels, "clients", list)
+    facility_labels = _member(data, "facilities", list) or _member(labels, "facilities", list)
     provenance = data.get("provenance")
     if "dist" in data and "locations" in data:
         raise BadParams("a document with locations derives dist and must not give it")
@@ -804,8 +838,8 @@ def instance_from_dict(data: dict, tol: float = 1e-9) -> MetricInstance:
         if client_labels is None or facility_labels is None:
             raise BadParams("graph instance needs clients and facilities lists")
         return build_from_graph(
-            data["vertices"],
-            [tuple(e) for e in data.get("edges", [])],
+            _member(data, "vertices", list),
+            _member(data, "edges", list) or [],
             client_labels,
             facility_labels,
             provenance=provenance,

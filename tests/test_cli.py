@@ -25,6 +25,15 @@ def triple_file(tmp_path):
     return str(path)
 
 
+# one well-formed document per instance layout
+_LAYOUTS = {
+    "dist": {"dist": [[1.0, 2.0]]},
+    "located": {"cross": [[0.0, 1.0], [1.0, 0.0]], "locations": [[0], [1]]},
+    "points": {"client_points": [[0.0]], "facility_points": [[1.0]]},
+    "graph": {"vertices": [0, 1], "edges": [[0, 1, 1.0]], "clients": [0], "facilities": [1]},
+}
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 1
@@ -42,55 +51,65 @@ class TestTopLevel:
         assert run(["frobnicate"]) == 1
 
 
-def test_import_and_bounds_load_no_scipy():
+def test_runtime_loads_no_scipy(tmp_path):
+    # distances, graph shortest paths and the metric gate are numpy
+    # alone. At --tol 0 the euclid file's rounding shows as violations
+    # (exit 3), and only there does validation build _point_cross.
     script = (
-        "import sys\n"
-        "import centrum.cli\n"
+        "import os, sys\n"
+        "import centrum.cli, centrum.metric as metric\n"
+        "from centrum import check_inequalities, gen_tight_triple, select_multi_graph\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert loaded() == [], loaded()\n"
-        "assert centrum.cli.run(['bounds', '--beta', '3']) == 0\n"
-        "assert loaded() == [], loaded()\n"
-    )
-    src = os.path.dirname(os.path.dirname(centrum.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("beta")
-
-
-def test_points_path_loads_no_scipy(tmp_path):
-    # gen, solve, graph and verify on a points file compute their
-    # distances with numpy; only validation below the rounding bound
-    # (--tol 0) reaches _point_cross, and over 64 points its scipy.sparse
-    # gate; at tol 0 this file's rounding shows as violations, exit 3
-    script = (
-        "import sys\n"
-        "import centrum.cli, centrum.metric as metric\n"
         "run = centrum.cli.run\n"
-        "loaded = lambda name: sorted(m for m in sys.modules if (m + '.').startswith(name + '.'))\n"
         "crosses = []\n"
         "point_cross = metric._point_cross\n"
         "metric._point_cross = lambda points: crosses.append(1) or point_cross(points)\n"
-        "path = sys.argv[1]\n"
-        "assert run(['gen', '--family', 'euclid', '-n', '60', '-m', '20', '--seed', '3',\n"
-        "            '-o', path]) == 0\n"
-        "assert run(['solve', path, '--objectives', '1,60', '--method', 'pair']) == 0\n"
-        "for method in ('largest', 'graph', 'exhaustive'):\n"
-        "    assert run(['solve', path, '--objectives', '1,6,60', '--method', method]) == 0\n"
-        "assert run(['graph', path, '--objectives', '1,6,60']) == 0\n"
-        "assert run(['verify', '--suite', 'lemmas', '--instance', path]) == 0\n"
-        "assert run(['verify', '--suite', 'shared', '--instances', '3']) == 0\n"
-        "assert loaded('scipy') == [] and crosses == [], (loaded('scipy'), crosses)\n"
-        "assert run(['verify', '--suite', 'lemmas', '--instance', path, '--tol', '0']) == 3\n"
-        "assert crosses == [1], crosses\n"
-        "assert loaded('scipy.sparse') and loaded('scipy.spatial') == [], loaded('scipy')\n"
+        "os.chdir(sys.argv[1])\n"
+        "assert run(['bounds', '--beta', '3']) == 0\n"
+        "assert run(['curves', '--qmax', '5']) == 0\n"
+        "families = {'line': (['-k', '2', '-p', '10'], 10),\n"
+        "            'triangle': (['-k', '2', '-p', '6'], 6),\n"
+        "            'triple': (['-k', '5', '-n', '30'], 30),\n"
+        "            'euclid': (['-n', '60', '-m', '20', '--seed', '3'], 60),\n"
+        "            'graph': (['--vertices', '40', '--seed', '3'], 40)}\n"
+        "for family, (args, n) in families.items():\n"
+        "    assert run(['gen', '--family', family, *args, '-o', family + '.json']) == 0\n"
+        "def commands(tol):\n"
+        "    codes = []\n"
+        "    for family, (args, n) in families.items():\n"
+        "        path, ks = family + '.json', '1,%d,%d' % (n // 3, n)\n"
+        "        codes.append(run(['solve', path, '--objectives', '1,%d' % n, '--method', 'pair',\n"
+        "                          '--profile', '--out', 'out.json', *tol]))\n"
+        "        for method in ('largest', 'graph', 'exhaustive'):\n"
+        "            codes.append(run(['solve', path, '--objectives', ks, '--method', method,\n"
+        "                              '--out', 'out.json', *tol]))\n"
+        "        codes.append(run(['graph', path, '--objectives', ks, '--out', 'out.json', *tol]))\n"
+        "        codes.append(run(['verify', '--suite', 'lemmas', '--instance', path,\n"
+        "                          '--out', 'out.json', *tol]))\n"
+        "    return codes\n"
+        "assert set(commands([])) == {0}\n"
+        "for suite in ('pair', 'multi', 'shared'):\n"
+        "    assert run(['verify', '--suite', suite, '--instances', '3', '--out', 'out.json']) == 0\n"
+        "inst = gen_tight_triple(10, 600)\n"
+        "select_multi_graph(inst, (1, 10, 600))\n"
+        "report = check_inequalities(inst, (1, 10, 600))\n"
+        "assert report.checks['metric_axioms'].comparisons == 1\n"
+        "assert inst.violations(0.0) == [] and inst.violations(-1.0)\n"
+        "assert crosses == [], crosses\n"
+        "codes = commands(['--tol', '0'])\n"
+        "assert codes == [0] * 23 + [3] + [2] * 6 and crosses == [1], (codes, crosses)\n"
+        "assert loaded() == [], loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(centrum.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "euclid.json")],
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    assert done.stdout.startswith("beta")
+    # a saved graph file has no rounding bound, and its rounding fails the load at tol 0
+    errors = done.stderr.splitlines()
+    assert len(errors) == 6 and all(e.startswith("error: d(") for e in errors), errors
 
 
 class TestBounds:
@@ -182,6 +201,31 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert run(["solve", "/no/such/file.json", "--objectives", "1"]) == 2
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_each_layout_solves(self, tmp_path, capsys, layout):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps({**_LAYOUTS[layout], "provenance": {"a": 1}}))
+        assert run(["solve", str(path), "--objectives", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_ratio"] == 1.0
+
+    @pytest.mark.parametrize("doc", [
+        *({**_LAYOUTS[layout], "provenance": bad}
+          for layout in ("dist", "located", "points") for bad in ("s", 1, [1])),
+        {**_LAYOUTS["dist"], "labels": [1]},
+        {**_LAYOUTS["graph"], "edges": [[0, 1]]},
+        {**_LAYOUTS["graph"], "edges": [[0, 1, "x"]]},
+        {**_LAYOUTS["graph"], "edges": [[[0], 1, 1.0]]},
+        {**_LAYOUTS["graph"], "edges": 5},
+    ])
+    def test_malformed_document_is_input_error(self, tmp_path, capsys, doc):
+        # each ended in a traceback with exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", str(path), "--objectives", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_bad_objectives_string_is_usage_error(self, triple_file, capsys):
         assert run(["solve", triple_file, "--objectives", "1,zap"]) == 1

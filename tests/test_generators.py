@@ -1,15 +1,11 @@
 """Worst-case families and random instance generators."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import centrum
 from centrum import (
     check_inequalities,
     cost_profile,
@@ -171,24 +167,6 @@ class TestTripleLocationMetric:
         expected = shortest_path(csr_matrix(adj), method="D", directed=False)
         assert cross.tobytes() == expected.tobytes()
 
-    def test_tight_family_checks_load_no_scipy_sparse(self):
-        script = (
-            "import sys\n"
-            "from centrum import check_inequalities, gen_tight_triple, select_multi_graph\n"
-            "inst = gen_tight_triple(10, 600)\n"
-            "select_multi_graph(inst, (1, 10, 600))\n"
-            "report = check_inequalities(inst, (1, 10, 600))\n"
-            "assert report.checks['metric_axioms'].comparisons == 1\n"
-            "assert inst.violations(0.0) == [] and inst.violations(-1.0)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-        )
-        src = os.path.dirname(os.path.dirname(centrum.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
-
 
 class TestRandomEuclidean:
     def test_gen_holds_no_dist(self):
@@ -254,6 +232,13 @@ class TestRandomEuclidean:
         with pytest.raises(BadParams):
             gen_random_euclidean(n, m, dim=dim, seed=0)
 
+    @pytest.mark.parametrize("shared", [1, 0, None, "yes"])
+    def test_shared_must_be_a_bool(self, shared):
+        # shared=1 ran a shared instance and recorded "shared": true
+        with pytest.raises(BadParams, match="shared must be True or False"):
+            gen_random_euclidean(3, 2, seed=0, shared=shared)
+        assert gen_random_euclidean(3, 2, seed=0, shared=np.bool_(True)).m_facilities == 3
+
 
 class TestRandomGraphMetric:
     def test_determinism(self):
@@ -283,6 +268,13 @@ class TestRandomGraphMetric:
     def test_rejects_bad_params(self, nv, density):
         with pytest.raises(BadParams):
             gen_random_graph_metric(nv, density, seed=0)
+
+    @pytest.mark.parametrize("density", [True, False, np.bool_(True), "0.5", None])
+    def test_rejects_non_numeric_density(self, density):
+        # True was taken as 1.0 and recorded as "edge_density": 1.0; a
+        # string or None failed with a TypeError
+        with pytest.raises(BadParams, match="edge_density"):
+            gen_random_graph_metric(5, density, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, False, np.bool_(True), "3", None])

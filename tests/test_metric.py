@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
@@ -45,7 +46,7 @@ from centrum.errors import (
     NonzeroDiagonal,
     TriangleViolation,
 )
-from centrum.metric import _KERNEL_CELLS, _norm_distances
+from centrum.metric import _KERNEL_CELLS, _norm_distances, _shortest_paths
 from centrum.objectives import _SHORT_RUN
 
 from conftest import (
@@ -97,8 +98,8 @@ def records(violations):
 
 
 def gated(instance, tol=1e-9):
-    """validate_metric with its compiled closure gate on at every size:
-    it is skipped at 64 points or fewer, which most cases here are."""
+    """validate_metric with one (x, z) pair per block of its exact
+    recheck, so every pair its closure gate flags is rechecked alone."""
     import centrum.metric as metric_mod
 
     saved = metric_mod._RECHECK_CELLS
@@ -604,6 +605,33 @@ class TestBuildFromGraph:
         with pytest.raises(BadParams):
             build_from_graph(["a"], [], ["a"], ["zz"])
 
+    @pytest.mark.parametrize("vertices,edges,clients", [
+        (["a", "b"], [("a", "b")], ["a"]),
+        (["a", "b"], [("a", "b", "x")], ["a"]),
+        (["a", "b"], [("a", "b", None)], ["a"]),
+        (["a", "b"], [(["a"], "b", 1.0)], ["a"]),
+        (["a", "b"], 5, ["a"]),
+        (["a", "b"], [5], ["a"]),
+        (["a", "b"], [("a", "b", 10**400)], ["a"]),
+        ([["a"], "b"], [], ["b"]),
+        (["a", "b"], [("a", "b", 1.0)], [["a"]]),
+    ])
+    def test_malformed_graph_rejected(self, vertices, edges, clients):
+        with pytest.raises(BadParams):
+            build_from_graph(vertices, edges, clients, ["b"])
+
+    @pytest.mark.parametrize("provenance", ["s", 1, [1], [("a", 1)]])
+    @pytest.mark.parametrize("build", [
+        lambda p: build_from_graph(["a"], [], ["a"], ["a"], provenance=p),
+        lambda p: build_from_matrix([[1.0]], provenance=p),
+        lambda p: build_from_points([[0.0]], [[1.0]], provenance=p),
+    ], ids=["graph", "matrix", "points"])
+    def test_provenance_must_be_a_dict(self, build, provenance):
+        # "s" and 1 failed inside dict() with a ValueError or TypeError
+        with pytest.raises(BadParams, match="provenance must be a dict"):
+            build(provenance)
+        assert build({"a": 1}).provenance == {"a": 1} and build(None).provenance == {}
+
     def test_duplicate_vertex_ids_rejected(self):
         with pytest.raises(BadParams):
             build_from_graph(["a", "a"], [], ["a"], ["a"])
@@ -667,6 +695,68 @@ class TestBuildFromGraph:
         assert np.array_equal(inst.dist[:50], inst.cross)
         assert np.array_equal(inst.dist[50:], inst.dist[:-50])
         assert peak < 20_000_000
+
+
+def dijkstra_oracle(adj, sources):
+    """scipy's Dijkstra, which _shortest_paths replaced, kept as its
+    differential oracle; it reads a zero entry as a missing edge."""
+    sparse = csr_matrix(np.where(np.isinf(adj), 0.0, adj))
+    return shortest_path(sparse, method="D", directed=False, indices=sources)
+
+
+def random_adjacency(size, density, seed):
+    """A random undirected graph with weights rounded to one decimal, so
+    that equal path sums occur; inf where there is no edge."""
+    rng = np.random.default_rng(seed)
+    weights = np.round(rng.uniform(0.1, 2.0, (size, size)), 1)
+    keep = np.triu(rng.random((size, size)) < density, 1)
+    adj = np.full((size, size), np.inf)
+    adj[keep] = weights[keep]
+    return np.minimum(adj, adj.T)
+
+
+class TestShortestPaths:
+    @given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data())
+    def test_equals_scipy_dijkstra(self, size, density, seed, data):
+        adj = random_adjacency(size, density, seed)
+        sources = np.unique(data.draw(st.lists(st.integers(0, size - 1), min_size=1)))
+        assert _shortest_paths(adj, sources).tobytes() == dijkstra_oracle(adj, sources).tobytes()
+
+    @pytest.mark.parametrize("size", [100, 200])
+    def test_equals_scipy_dijkstra_on_large_graphs(self, size):
+        adj = random_adjacency(size, 0.35, size)
+        sources = np.arange(size)
+        assert _shortest_paths(adj, sources).tobytes() == dijkstra_oracle(adj, sources).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_build_from_graph_equals_scipy(self, seed, data):
+        # repeated client and facility vertices, parallel edges and self-loops
+        rng = np.random.default_rng(seed)
+        size = data.draw(st.integers(2, 30))
+        weights = 0.1 * rng.integers(1, 20, 4 * size)
+        edges = [(v, int(rng.integers(0, v)), weights[v]) for v in range(1, size)]
+        edges += [(int(u), int(v), w) for (u, v), w in
+                  zip(rng.integers(0, size, (3 * size, 2)), weights[size:])]
+        vertex = st.integers(0, size - 1)
+        clients = data.draw(st.lists(vertex, min_size=1, max_size=12))
+        facilities = data.draw(st.lists(vertex, min_size=1, max_size=6))
+        inst = build_from_graph(list(range(size)), edges, clients, facilities)
+        adj = np.full((size, size), np.inf)
+        for u, v, w in edges:
+            if u != v:
+                adj[u, v] = adj[v, u] = min(adj[u, v], w)
+        referenced = np.unique(clients + facilities)
+        cross = dijkstra_oracle(adj, referenced)[:, referenced]
+        expected = MetricInstance(cross=cross, locations=inst.locations)
+        assert inst.cross.tobytes() == expected.cross.tobytes()
+        assert inst.dist.tobytes() == expected.dist.tobytes()
+
+    def test_unreachable_vertices_stay_inf(self):
+        adj = random_adjacency(6, 0.0, 1)
+        expected = np.where(np.eye(6)[[0, 4]], 0.0, np.inf)
+        assert np.array_equal(_shortest_paths(adj, [0, 4]), expected)
+        with pytest.raises(DisconnectedGraph):
+            build_from_graph(range(3), [(0, 1, 1.0), (2, 2, 1.0)], [0], [2])
 
 
 class TestValidateMetric:
@@ -756,8 +846,8 @@ class TestValidateMetricOracle:
 class TestZeroDistances:
     def test_zero_distance_is_an_edge(self):
         # points 0 and 1 share a location, so d(0,2) = 2 > d(0,1) + d(1,2) = 1.
-        # A closure of the dense matrix reads the zero as a missing edge,
-        # finds no path shorter than 2 and misses the violation.
+        # A closure that read the zero as a missing edge would find no
+        # path shorter than 2 and miss the violation.
         cross = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         inst = with_cross(cross, 1)
         assert records(validate_metric(inst)) == [("triangle", ("c0", "f0", "f1"), 1.0)]
