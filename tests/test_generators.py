@@ -1,11 +1,15 @@
 """Worst-case families and random instance generators."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import centrum
 from centrum import (
     check_inequalities,
     cost_profile,
@@ -166,6 +170,24 @@ class TestTripleLocationMetric:
             adj[index[u], index[v]] = adj[index[v], index[u]] = w
         expected = shortest_path(csr_matrix(adj), method="D", directed=False)
         assert cross.tobytes() == expected.tobytes()
+
+    def test_tight_family_checks_load_no_scipy_sparse(self):
+        script = (
+            "import sys\n"
+            "from centrum import check_inequalities, gen_tight_triple, select_multi_graph\n"
+            "inst = gen_tight_triple(10, 600)\n"
+            "select_multi_graph(inst, (1, 10, 600))\n"
+            "report = check_inequalities(inst, (1, 10, 600))\n"
+            "assert report.checks['metric_axioms'].comparisons == 1\n"
+            "assert inst.violations(0.0) == [] and inst.violations(-1.0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(centrum.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestRandomEuclidean:
